@@ -61,8 +61,9 @@ class Hooks:
             "waits": 0,
             "idle_s": 0.0,
         }
-        #: ``[kind, seconds]`` per resolved cell: ``miss`` (execute_job),
-        #: ``hit`` (cache read) or ``fleet`` (lease to acknowledged result).
+        #: ``[kind, seconds, cache key]`` per resolved cell: ``miss``
+        #: (execute_job), ``hit`` (cache read) or ``fleet`` (lease to
+        #: acknowledged result).
         self.cells = []
         self.fleet = {"first_lease": None, "last_ack": None, "acked": 0}
         self._leased_at = {}
@@ -95,7 +96,7 @@ class Hooks:
         self.counters["executed"] += 1
         if not outcome.ran:
             self.counters["infeasible"] += 1
-        self.cells.append(["miss", seconds])
+        self.cells.append(["miss", seconds, args[0].cache_key()])
 
     def _after_get(self, span, seconds, args, outcome):
         self.counters["gets"] += 1
@@ -103,7 +104,7 @@ class Hooks:
             self.counters["hits"] += 1
             if not outcome.ran:
                 self.counters["infeasible"] += 1
-            self.cells.append(["hit", seconds])
+            self.cells.append(["hit", seconds, args[1].cache_key()])
 
     def _after_request(self, span, seconds, args, response):
         name, start, end = span[0], span[1], span[2]
@@ -130,7 +131,7 @@ class Hooks:
                     continue
                 leased = self._leased_at.pop(item["key"], None)
                 if leased is not None:
-                    self.cells.append(["fleet", end - leased])
+                    self.cells.append(["fleet", end - leased, item["key"]])
                     self.fleet["acked"] += 1
                     self.fleet["last_ack"] = end
 

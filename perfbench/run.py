@@ -35,7 +35,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -175,11 +175,16 @@ class Command:
     stderr: str
     #: Cells resolved (simulated, cache hit or infeasible).
     resolved: int = 0
-    #: Per-cell host latency in seconds.
-    latencies: List[float] = field(default_factory=list)
+    #: ``(kind, seconds, cache key)`` per resolved cell (see child.py).
+    cells: List[Tuple[str, float, str]] = field(default_factory=list)
     #: Indices (compile order) of the cells that failed a check.
     failed: Set[int] = field(default_factory=set)
     traced: bool = False
+
+    @property
+    def latencies(self) -> List[float]:
+        """Per-cell host latency in seconds."""
+        return [seconds for _, seconds, _ in self.cells]
 
     @property
     def work_s(self) -> float:
@@ -293,7 +298,7 @@ class Context:
         if record and "counters" in record:
             counters = record["counters"]
             command.resolved = counters["executed"] + counters["hits"]
-            command.latencies = [seconds for _, seconds in record["cells"]]
+            command.cells = [tuple(cell) for cell in record["cells"]]
         return command
 
     def probe_setup(self, have: int) -> None:
@@ -310,11 +315,15 @@ class Context:
         return path
 
     def timed_loop(self, one: Callable[[bool], Command]) -> List[Command]:
-        """Run commands until the next one would overrun ``seconds``.
+        """Run commands until the next one would end past ``seconds``
+        by more than half its length.
 
-        At least one command runs (a traced run: one untraced and one
-        traced). Traced runs alternate untraced and traced commands so
-        the tracing overhead compares like with like.
+        The measured time thus averages ``seconds`` instead of falling
+        short of it by up to a command, which would halve the window of
+        a run whose commands take just over half of it. At least one
+        command runs (a traced run: one untraced and one traced).
+        Traced runs alternate untraced and traced commands so the
+        tracing overhead compares like with like.
         """
         start = time.monotonic()
         done: List[Command] = []
@@ -324,7 +333,7 @@ class Context:
                 done.append(one(True))
             elapsed = time.monotonic() - start
             step = elapsed / (len(done) // (2 if self.trace else 1))
-            if elapsed + step > self.seconds or elapsed + step > self.remaining() / 2:
+            if elapsed + step / 2 > self.seconds or elapsed + step > self.remaining() / 2:
                 return done
 
 
@@ -545,7 +554,7 @@ def run_fleet_batch(ctx: Context) -> Outcome:
         cmd.resolved = fleet.get("acked", 0)
         # The worker's execute_job calls are inside lease-to-ack; the
         # per-cell latency here is the fleet's.
-        cmd.latencies = [s for kind, s in (cmd.record or {}).get("cells", ()) if kind == "fleet"]
+        cmd.cells = [cell for cell in cmd.cells if cell[0] == "fleet"]
         if cmd.exit_code != 0 or coordinator_code != 0 or cmd.resolved != n_cells:
             cmd.failed = set(range(n_cells))
         for index, key in enumerate(keys):
@@ -582,7 +591,13 @@ RUNNERS: Dict[str, Callable[[Context], Outcome]] = {
 
 def end_to_end_metrics(commands: List[Command], setup_samples: List[float],
                        fleet: bool) -> Dict[str, float]:
-    """Medians over a run's untraced commands of every end-to-end metric."""
+    """Every end-to-end metric over a run's untraced commands.
+
+    Times per command are medians over the commands; per-cell latency
+    is read off the run's cell samples (:func:`stats.cell_samples`).
+    """
+    samples = run_cell_samples(commands)
+
     def rate(cmd: Command) -> float:
         # The fleet wall already starts at the first lease, after set-up.
         return cmd.resolved / (cmd.wall_s if fleet else cmd.work_s)
@@ -591,10 +606,14 @@ def end_to_end_metrics(commands: List[Command], setup_samples: List[float],
         "wall_s": stats.median([c.wall_s for c in commands]),
         "setup_s": stats.median(setup_samples),
         "cells_per_s": stats.median([rate(c) for c in commands]),
-        "cell_p50_ms": stats.median([1e3 * stats.median(c.latencies) for c in commands]),
-        "cell_tail_ms": stats.median([1e3 * stats.tail(c.latencies)["value"] for c in commands]),
+        "cell_p50_ms": 1e3 * stats.median(samples),
+        "cell_tail_ms": 1e3 * stats.tail(samples)["value"],
         "peak_rss_mb": stats.median([c.rss_mb for c in commands]),
     }
+
+
+def run_cell_samples(commands: List[Command]) -> List[float]:
+    return stats.cell_samples(cell for cmd in commands for cell in cmd.cells)
 
 
 def _ratio(part: float, whole: float) -> float:
@@ -720,7 +739,9 @@ def run(ctx: Context) -> Dict[str, Any]:
                 plain, [c.setup_s for c in plain] + ctx.setup_probes,
                 fleet=ctx.workload == "fleet_batch",
             )
-    tail = stats.tail(usable[0].latencies) if usable else {"pct": None, "samples": 0}
+    usable_plain = [c for c in usable if not c.traced]
+    tail = (stats.tail(run_cell_samples(usable_plain)) if usable_plain
+            else {"pct": None, "samples": 0})
     detail = {
         "workload": ctx.workload,
         "seed": ctx.seed,

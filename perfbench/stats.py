@@ -9,7 +9,7 @@ read off 480 cells are never confused.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Samples a tail percentile must leave beyond it to be reported.
 TAIL_BEYOND = 10
@@ -64,6 +64,28 @@ def tail(values: Sequence[float], beyond: int = TAIL_BEYOND) -> Dict[str, float]
         "value": nearest_rank(values, pct),
         "samples": len(values),
     }
+
+
+def cell_samples(cells: Iterable[Sequence]) -> List[float]:
+    """One latency sample per cell of a run, from ``(kind, seconds, key)``.
+
+    The run repeats the same cells in every command, so each cell (by
+    kind and cache key) contributes the median of its repetitions, and
+    the p50 and tail are taken over the cells with a percentile fixed
+    by the spec's cell count, whatever the number of commands. A cache
+    hit (``kind == "hit"``) takes tens of microseconds, shorter than
+    the host's contention bursts: its repetitions flip between a fast
+    and a slow mode and their median follows the share of slow moments
+    rather than the program, so a hit cell contributes its best
+    repetition instead (the ``timeit`` convention).
+    """
+    repetitions: Dict[Tuple[str, str], List[float]] = {}
+    for kind, seconds, key in cells:
+        repetitions.setdefault((kind, key), []).append(seconds)
+    return [
+        min(values) if kind == "hit" else median(values)
+        for (kind, _), values in repetitions.items()
+    ]
 
 
 def fail_ratio(attempted: int, failed: int) -> float:

@@ -41,6 +41,28 @@ def test_median_even_and_odd():
 # -- fail_ratio accounting ---------------------------------------------------
 
 
+def test_cell_samples_are_one_per_cell_median_or_best_hit():
+    cells = [
+        ("miss", 0.20, "a"), ("miss", 0.30, "b"),
+        ("hit", 5e-5, "c"), ("hit", 9e-5, "d"),
+        ("miss", 0.26, "a"), ("miss", 0.36, "b"),
+        ("hit", 8e-5, "c"), ("hit", 4e-5, "d"),
+        ("fleet", 0.40, "e"), ("fleet", 0.50, "e"), ("fleet", 0.90, "e"),
+    ]
+    samples = stats.cell_samples(cells)
+    # Repetitions of a cell give its median; a hit cell gives its best.
+    assert sorted(samples) == pytest.approx([4e-5, 5e-5, 0.23, 0.33, 0.50])
+
+
+def test_run_latency_metrics_take_one_sample_per_cell():
+    commands = [_command(latencies=(0.1, 0.2, 0.3)), _command(latencies=(0.3, 0.4, 0.5))]
+    e2e = run.end_to_end_metrics(commands, [0.5, 0.5], fleet=False)
+    # Cells k0..k2 read 0.2, 0.3 and 0.4 over the two commands.
+    assert e2e["cell_p50_ms"] == pytest.approx(300.0)
+    # Three cells: too few for a tail with ten beyond, so the median.
+    assert e2e["cell_tail_ms"] == pytest.approx(300.0)
+
+
 def test_fail_ratio_counts_failed_over_attempted():
     assert stats.fail_ratio(48, 0) == 0.0
     assert stats.fail_ratio(48, 12) == 0.25
@@ -57,7 +79,8 @@ def _command(failed=(), latencies=(0.1, 0.2, 0.3)):
     }
     return run.Command(
         wall_s=2.0, setup_s=0.5, process_s=2.0, exit_code=0, record=record,
-        stderr="", resolved=3, latencies=list(latencies), failed=set(failed),
+        stderr="", resolved=3, failed=set(failed),
+        cells=[("miss", seconds, f"k{i}") for i, seconds in enumerate(latencies)],
     )
 
 
