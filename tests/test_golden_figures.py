@@ -4,10 +4,12 @@
 Fig. 8 microbenchmark, the Fig. 9 power-cap sweep, the straggler
 degradation grid (magnitude x strategy x power cap, slowdowns vs the
 healthy twin cell) and the shared Figs. 4-6 evaluation grid (per-cell
-slowdown/overlap/e2e plus overlapped-mode power and energy). The simulator is deterministic
-(jitter is seeded from the config), so any drift here means a refactor
-changed simulated physics, not noise. When a change is *intentional*,
-regenerate the snapshots and commit the diff:
+slowdown/overlap/e2e plus overlapped-mode power and energy), and the
+fast engine tier's cached payloads and cache keys for a few quick-grid
+cells plus a power-capped and a perturbed cell. The simulator is
+deterministic (jitter is seeded from the config), so any drift here
+means a refactor changed simulated physics, not noise. When a change is
+*intentional*, regenerate the snapshots and commit the diff:
 
     PYTHONPATH=src python -m pytest tests/test_golden_figures.py --update-golden
 """
@@ -71,10 +73,65 @@ def _generate_grid():
     return rows
 
 
+#: Quick-grid cells the fast-tier snapshot pins (an FSDP and a
+#: pipeline cell on different GPUs), plus a power-capped and a
+#: perturbed twin of the first.
+_FAST_TIER_CELLS = (0, 8, 15, 42)
+
+
+def _generate_fast_tier():
+    from repro.exec.cache import outcome_to_payload
+    from repro.exec.job import JobOutcome, SimJob
+    from repro.exec.planning import Planner
+    from repro.core.experiment import run_experiment
+    from repro.harness.figures.grid import grid_spec
+    from repro.sim.perturb import PerturbationSpec
+
+    jobs = grid_spec(quick=True).compile()
+    exact = [jobs[i] for i in _FAST_TIER_CELLS]
+    first = exact[0].config
+    exact.append(
+        SimJob(first.with_updates(power_limit_w=150.0), exact[0].modes)
+    )
+    exact.append(
+        SimJob(
+            first.with_updates(
+                perturbations=(
+                    PerturbationSpec(
+                        kind="straggler_rank",
+                        target="gpu:1",
+                        start_s=0.02,
+                        duration_s=0.05,
+                        magnitude=0.3,
+                    ),
+                )
+            ),
+            exact[0].modes,
+        )
+    )
+    planner = Planner()
+    rows = []
+    for exact_job in exact:
+        job = SimJob(
+            exact_job.config.with_updates(engine_tier="fast"), exact_job.modes
+        )
+        result = run_experiment(job.config, modes=job.modes, planner=planner)
+        rows.append(
+            {
+                "cell": job.config.describe(),
+                "exact_key": exact_job.cache_key(),
+                "key": job.cache_key(),
+                "payload": outcome_to_payload(JobOutcome(job, result)),
+            }
+        )
+    return rows
+
+
 GENERATORS = {
     "fig8": _generate_fig8,
     "fig9": _generate_fig9,
     "degradation": _generate_degradation,
+    "fast_tier": _generate_fast_tier,
     "grid": _generate_grid,
 }
 
