@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Engine hot-path benchmark: reference vs incremental vs fast tiers.
+"""Engine hot-path benchmark: reference vs exact vs fast tiers.
 
 Measures two things per engine tier and records them in
 ``BENCH_engine.json`` so the repo carries a perf trajectory across
@@ -12,19 +12,20 @@ PRs:
   (48 cells x 3 modes) run serially through the execution service with
   caching disabled, once per tier.
 
-The tiers are ``reference`` (full recompute), ``incremental`` (the
-bit-exact default), ``fast`` (calendar event queue + additive
-contention aggregates + adaptive governor ticks, cohort batching
-off) and ``batched`` (the same plus cohort batching over the
-struct-of-arrays store — ``SimConfig.fast()``'s actual default);
-the last two carry bounded relative error — see the
-engine-equivalence tolerance suite.
+The tiers are named by their ``SimConfig.engine`` value:
+``reference`` (full recompute), ``exact`` (the bit-exact incremental
+default) and ``fast`` (additive contention aggregates, adaptive
+governor ticks and cohort batching over the struct-of-arrays store),
+which carries bounded relative error — see the engine-equivalence
+tolerance suite. Grid cells pick the fast tier through
+``ExperimentConfig.engine_tier``; the reference oracle is not a cell
+tier, so its grid pass sets ``$REPRO_SIM_ENGINE=reference``.
 
 ``--profile`` wraps each tier's single-cell run in cProfile and
 prints the top 20 functions by cumulative time, for hot-path work.
 
 ``--verify`` instead runs one grid cell end-to-end under the reference
-and incremental engines and exits nonzero unless the full result
+and exact engines and exits nonzero unless the full result
 payloads are byte-identical (the CI equivalence gate; the fast tier is
 gated by its tolerance tests, not by byte identity).
 
@@ -53,9 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.experiment import (  # noqa: E402
-    SIM_COHORT_ENV,
     SIM_ENGINE_ENV,
-    SIM_FAST_ENV,
     ExperimentConfig,
 )
 from repro.exec.executors import SerialExecutor  # noqa: E402
@@ -72,11 +71,9 @@ from repro.sim.engine import (  # noqa: E402
 from repro.sim.prep import prep_stats  # noqa: E402
 
 #: Exact engines (``--verify`` pins them byte-identical).
-ENGINES = ("reference", "incremental")
-#: All benchmarked tiers. ``fast`` is the unbatched aggregate tier
-#: (cohort batching forced off via $REPRO_SIM_COHORT) and ``batched``
-#: the full ``SimConfig.fast()`` cohort path.
-TIERS = ("reference", "incremental", "fast", "batched")
+ENGINES = ("reference", "exact")
+#: All benchmarked tiers, by ``SimConfig.engine`` value.
+TIERS = ("reference", "exact", "fast")
 
 #: The representative contended cell for the event-throughput probe.
 SINGLE_CELL = ExperimentConfig(
@@ -121,40 +118,29 @@ def _paused_gc():
 
 @contextlib.contextmanager
 def _engine_env(engine: str):
-    """Route ExperimentConfig simulations through one engine tier."""
-    env_vars = (SIM_ENGINE_ENV, SIM_FAST_ENV, SIM_COHORT_ENV)
-    previous = {var: os.environ.get(var) for var in env_vars}
-    for var in env_vars:
-        os.environ.pop(var, None)
-    if engine == "batched":
-        os.environ[SIM_FAST_ENV] = "1"
-    elif engine == "fast":
-        os.environ[SIM_FAST_ENV] = "1"
-        os.environ[SIM_COHORT_ENV] = "0"
+    """Route exact-tier cells through the reference oracle or not."""
+    previous = os.environ.get(SIM_ENGINE_ENV)
+    if engine == "reference":
+        os.environ[SIM_ENGINE_ENV] = "reference"
     else:
-        os.environ[SIM_ENGINE_ENV] = engine
+        os.environ.pop(SIM_ENGINE_ENV, None)
     try:
         yield
     finally:
-        for var, value in previous.items():
-            if value is None:
-                os.environ.pop(var, None)
-            else:
-                os.environ[var] = value
+        if previous is None:
+            os.environ.pop(SIM_ENGINE_ENV, None)
+        else:
+            os.environ[SIM_ENGINE_ENV] = previous
 
 
-def _tier_sim_config(engine: str) -> SimConfig:
-    """Direct SimConfig for one tier (the single-cell probe path)."""
-    config = SimConfig(
-        jitter_sigma=0.02, seed=1, reference_engine=engine == "reference"
-    )
-    if engine == "batched":
-        config = config.fast()
-    elif engine == "fast":
-        import dataclasses
-
-        config = dataclasses.replace(config.fast(), cohort_batching=False)
-    return config
+def _tier_jobs(jobs, engine: str):
+    """The grid's jobs with the fast tier's ``engine_tier`` applied."""
+    if engine != "fast":
+        return jobs
+    return [
+        SimJob(job.config.with_updates(engine_tier="fast"), job.modes)
+        for job in jobs
+    ]
 
 
 def bench_single_cell(repeats: int, profile: bool = False) -> dict:
@@ -173,7 +159,7 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
         # cache (warm setup) — both are recorded so the prepared-layer
         # amortization is a gateable series, not folded into noise.
         reset_shared_evaluators()
-        config = _tier_sim_config(engine)
+        config = SimConfig(jitter_sigma=0.02, seed=1, engine=engine)
         prep_before = prep_stats()
         best = None
         setup_times = []
@@ -222,13 +208,10 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
         if profile:
             _profile_tier(engine, node, plan, config, cost_model)
     out["speedup"] = (
-        out["incremental"]["events_per_s"] / out["reference"]["events_per_s"]
+        out["exact"]["events_per_s"] / out["reference"]["events_per_s"]
     )
     out["speedup_fast"] = (
         out["fast"]["events_per_s"] / out["reference"]["events_per_s"]
-    )
-    out["speedup_batched"] = (
-        out["batched"]["events_per_s"] / out["reference"]["events_per_s"]
     )
     return out
 
@@ -274,9 +257,10 @@ def bench_grid() -> dict:
         reset_shared_evaluators()
         service = ExecutionService(executor=SerialExecutor(), cache=None)
         planner_before = planner.stats()["prepared_sims"]
+        tier_jobs = _tier_jobs(jobs, engine)
         with _engine_env(engine), _paused_gc():
             t0 = time.perf_counter()
-            outcomes = service.run_jobs(jobs)
+            outcomes = service.run_jobs(tier_jobs)
             elapsed = time.perf_counter() - t0
         planner_after = planner.stats()["prepared_sims"]
         ran = sum(1 for o in outcomes if o.ran)
@@ -294,13 +278,10 @@ def bench_grid() -> dict:
             },
         }
     out["speedup"] = (
-        out["incremental"]["cells_per_s"] / out["reference"]["cells_per_s"]
+        out["exact"]["cells_per_s"] / out["reference"]["cells_per_s"]
     )
     out["speedup_fast"] = (
         out["fast"]["cells_per_s"] / out["reference"]["cells_per_s"]
-    )
-    out["speedup_batched"] = (
-        out["batched"]["cells_per_s"] / out["reference"]["cells_per_s"]
     )
     return out
 
@@ -317,19 +298,19 @@ def verify_equivalence() -> bool:
                   f"{outcome.skipped_reason}")
             return False
         payloads[engine] = result_to_payload(outcome.result)
-    identical = payloads["reference"] == payloads["incremental"]
+    identical = payloads["reference"] == payloads["exact"]
     cell = VERIFY_CELL.describe()
     if identical:
         print(f"engine equivalence OK: {cell} is bit-identical under "
-              f"reference and incremental engines")
+              f"reference and exact engines")
     else:
         print(f"ENGINE DIVERGENCE on {cell}:")
-        ref, inc = payloads["reference"], payloads["incremental"]
+        ref, exact = payloads["reference"], payloads["exact"]
         for section in ref:
-            if ref[section] != inc[section]:
+            if ref[section] != exact[section]:
                 print(f"  section {section!r} differs")
-                print(f"    reference:   {json.dumps(ref[section])[:200]}")
-                print(f"    incremental: {json.dumps(inc[section])[:200]}")
+                print(f"    reference: {json.dumps(ref[section])[:200]}")
+                print(f"    exact:     {json.dumps(exact[section])[:200]}")
     return identical
 
 
@@ -359,7 +340,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="assert reference/incremental equivalence on one grid "
+        help="assert reference/exact equivalence on one grid "
         "cell instead of benchmarking; exit 1 on divergence",
     )
     parser.add_argument(
@@ -387,7 +368,7 @@ def main(argv=None) -> int:
     for engine in TIERS:
         tier = sc[engine]
         print(
-            f"  {engine:>11}: {tier['events']} events, "
+            f"  {engine:>9}: {tier['events']} events, "
             f"setup {tier['setup_cold_s'] * 1e3:.2f} ms cold / "
             f"{tier['setup_warm_s'] * 1e3:.2f} ms warm, "
             f"drain {tier['drain_s'] * 1e3:.1f} ms "
@@ -396,9 +377,8 @@ def main(argv=None) -> int:
             f"{tier['prep']['builds']} build(s))"
         )
     print(
-        f"  speedup: {sc['speedup']:.2f}x incremental, "
-        f"{sc['speedup_fast']:.2f}x fast, "
-        f"{sc['speedup_batched']:.2f}x batched"
+        f"  speedup: {sc['speedup']:.2f}x exact, "
+        f"{sc['speedup_fast']:.2f}x fast"
     )
 
     if not args.skip_grid:
@@ -408,16 +388,15 @@ def main(argv=None) -> int:
         for engine in TIERS:
             prepared = grid[engine]["prepared_sims"]
             print(
-                f"  {engine:>11}: {grid['cells']} cells in "
+                f"  {engine:>9}: {grid['cells']} cells in "
                 f"{grid[engine]['seconds']:.1f} s "
                 f"({grid[engine]['cells_per_s']:.3f} cells/s; "
                 f"prepared {prepared['hits']} hit(s), "
                 f"{prepared['builds']} build(s))"
             )
         print(
-            f"  speedup: {grid['speedup']:.2f}x incremental, "
-            f"{grid['speedup_fast']:.2f}x fast, "
-            f"{grid['speedup_batched']:.2f}x batched"
+            f"  speedup: {grid['speedup']:.2f}x exact, "
+            f"{grid['speedup_fast']:.2f}x fast"
         )
 
     out = Path(args.out)

@@ -8,12 +8,10 @@ and calls this script against the committed ``BENCH_engine.json``.
 The *gated* metrics are each tier's speedups **relative to the
 reference engine measured in the same run**, one series per tier:
 
-* ``default`` — the bit-exact incremental tier
+* ``default`` — the bit-exact ``exact`` tier
   (``single_cell.speedup``, ``grid.speedup``)
-* ``fast`` — the unbatched tolerance tier
+* ``fast`` — the cohort-batched tolerance tier
   (``single_cell.speedup_fast``, ``grid.speedup_fast``)
-* ``batched`` — the cohort-batched tier
-  (``single_cell.speedup_batched``, ``grid.speedup_batched``)
 * ``setup`` — the prepared-layer amortization, cold setup over warm
   setup within one tier (``single_cell.<tier>.setup_cold_over_warm``)
 
@@ -23,18 +21,17 @@ speedups, while a hot-path pessimization in an engine tier (the
 common regression mode — the reference path barely changes) drags
 that tier's ratio down. The gate fails (exit 1) when a fresh speedup
 drops more than the series' threshold below the baseline's. The
-thresholds widen with the tier's variance: the batched tier's short
-wall times make its ratio the noisiest, so it gets the loosest gate.
+thresholds widen with the tier's variance: the fast tier's short
+wall times make its ratio the noisiest, so it gets a looser gate.
 Absolute throughputs are printed for context but never gate, since
 they track hardware. Metrics missing from either record (e.g. a
-``--skip-grid`` run, or a pre-batched-tier baseline) are reported and
-skipped, never failed.
+``--skip-grid`` run) are reported and skipped, never failed.
 
 Usage::
 
     python benchmarks/check_bench_regression.py BASELINE FRESH \
-        [--threshold 0.20] [--threshold-fast 0.25] \
-        [--threshold-batched 0.30] [--threshold-setup 0.60]
+        [--threshold 0.20] [--threshold-fast 0.30] \
+        [--threshold-setup 0.60]
 """
 
 from __future__ import annotations
@@ -52,9 +49,9 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
     (
         "default",
         (
-            ("single-cell incremental/reference speedup",
+            ("single-cell exact/reference speedup",
              ("single_cell", "speedup")),
-            ("quick-grid incremental/reference speedup",
+            ("quick-grid exact/reference speedup",
              ("grid", "speedup")),
         ),
     ),
@@ -67,15 +64,6 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
              ("grid", "speedup_fast")),
         ),
     ),
-    (
-        "batched",
-        (
-            ("single-cell batched/reference speedup",
-             ("single_cell", "speedup_batched")),
-            ("quick-grid batched/reference speedup",
-             ("grid", "speedup_batched")),
-        ),
-    ),
     # The prepared-layer amortization: cold setup (first construction,
     # builds the PreparedSim tables) over warm setup (prep-cache hit).
     # A ratio within one record, so machine-independent like the
@@ -84,22 +72,22 @@ GATED_SERIES: Tuple[Tuple[str, Tuple[Tuple[str, Tuple[str, ...]], ...]], ...] = 
     (
         "setup",
         (
-            ("single-cell incremental cold/warm setup ratio",
-             ("single_cell", "incremental", "setup_cold_over_warm")),
-            ("single-cell batched cold/warm setup ratio",
-             ("single_cell", "batched", "setup_cold_over_warm")),
+            ("single-cell exact cold/warm setup ratio",
+             ("single_cell", "exact", "setup_cold_over_warm")),
+            ("single-cell fast cold/warm setup ratio",
+             ("single_cell", "fast", "setup_cold_over_warm")),
         ),
     ),
 )
 
 #: Reported for context only; absolute throughput tracks hardware.
 INFO_METRICS: Tuple[Tuple[str, Tuple[str, ...]], ...] = (
-    ("single-cell events/s", ("single_cell", "incremental", "events_per_s")),
-    ("quick-grid cells/s", ("grid", "incremental", "cells_per_s")),
-    ("quick-grid batched cells/s", ("grid", "batched", "cells_per_s")),
-    ("single-cell batched warm setup s",
-     ("single_cell", "batched", "setup_warm_s")),
-    ("single-cell batched drain s", ("single_cell", "batched", "drain_s")),
+    ("single-cell events/s", ("single_cell", "exact", "events_per_s")),
+    ("quick-grid cells/s", ("grid", "exact", "cells_per_s")),
+    ("quick-grid fast cells/s", ("grid", "fast", "cells_per_s")),
+    ("single-cell fast warm setup s",
+     ("single_cell", "fast", "setup_warm_s")),
+    ("single-cell fast drain s", ("single_cell", "fast", "drain_s")),
 )
 
 
@@ -136,20 +124,13 @@ def main(argv=None) -> int:
         type=float,
         default=0.20,
         help="relative speedup drop that fails the default "
-        "(incremental) series (default: 0.20 = 20%%)",
+        "(exact) series (default: 0.20 = 20%%)",
     )
     parser.add_argument(
         "--threshold-fast",
         type=float,
-        default=0.25,
-        help="relative speedup drop that fails the fast series "
-        "(default: 0.25)",
-    )
-    parser.add_argument(
-        "--threshold-batched",
-        type=float,
         default=0.30,
-        help="relative speedup drop that fails the batched series "
+        help="relative speedup drop that fails the fast series "
         "(default: 0.30; its short wall times make the ratio the "
         "noisiest)",
     )
@@ -167,7 +148,6 @@ def main(argv=None) -> int:
     thresholds = {
         "default": args.threshold,
         "fast": args.threshold_fast,
-        "batched": args.threshold_batched,
         "setup": args.threshold_setup,
     }
 

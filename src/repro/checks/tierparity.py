@@ -1,6 +1,6 @@
 """T-series: engine tier parity.
 
-Five engine tiers must agree on the same event vocabulary, and every
+Three engine tiers must agree on the same event vocabulary, and every
 vectorized kernel must have a pure-python twin so ``REPRO_SIM_NO_NUMPY``
 runs are bit-identical. These contracts live in several files at once,
 which is exactly what a runtime test struggles to pin:

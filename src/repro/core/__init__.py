@@ -19,7 +19,6 @@ from repro.core.sweep import (
     GridRow,
     grid_configs,
     grid_spec_from_args,
-    run_grid,
 )
 from repro.core.microbench import MicrobenchResult, run_microbench
 
@@ -37,6 +36,5 @@ __all__ = [
     "grid_configs",
     "grid_spec_from_args",
     "run_experiment",
-    "run_grid",
     "run_microbench",
 ]

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.feasibility import FeasibilityReport, check_feasibility
 from repro.core.metrics import OverlapMetrics, compute_metrics
 from repro.core.modes import ExecutionMode
-from repro.errors import InfeasibleConfigError
+from repro.errors import ConfigurationError, InfeasibleConfigError
 from repro.hw.calibration import ContentionCalibration
 from repro.hw.datapath import Precision, resolve_path
 from repro.hw.system import NodeSpec, make_node
@@ -33,44 +33,19 @@ from repro.workloads.transformer import TrainingShape
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.exec.planning import Planner
 
-#: Environment variable selecting the simulation engine
-#: (``reference`` = full-recompute baseline; anything else =
-#: incremental). Both engines produce bit-identical results.
+#: Environment variable routing every exact-tier simulation through
+#: the full-recompute reference engine (``reference``). The two
+#: engines produce bit-identical results, so the toggle is safe to
+#: leave out of the job cache key. Unset, empty or ``exact`` keep the
+#: default engine; any other value is a configuration error.
 SIM_ENGINE_ENV = "REPRO_SIM_ENGINE"
 
-#: Environment variable selecting the event-queue backend (``heap`` or
-#: ``calendar``). The backends pop identical event sequences, so —
-#: like the engine toggle — this is bit-exact and safe to leave out of
-#: the job cache key.
-SIM_EVENT_QUEUE_ENV = "REPRO_SIM_EVENT_QUEUE"
-
-#: Environment variable forcing the *fast* accuracy tier (truthy
-#: values: 1/true/yes/on) for every simulation, equivalent to
-#: ``engine_tier="fast"`` on each config. Unlike the two toggles
-#: above this one changes numbers (within the tolerance tier), and it
-#: deliberately bypasses the job cache key — do not combine it with a
-#: shared persistent result cache. Sweeps that should *record* fast
-#: results set ``engine_tier`` on the config instead, which hashes
-#: into the cache key.
-SIM_FAST_ENV = "REPRO_SIM_FAST"
-
-#: Environment variable disabling cohort batching (falsy values:
-#: 0/false/no/off) while keeping the rest of the fast tier on. Like
-#: :data:`SIM_FAST_ENV` it bypasses the cache key — it exists so the
-#: perf bench can measure the unbatched fast tier as its own series
-#: and as an escape hatch, not as a sweep knob.
-SIM_COHORT_ENV = "REPRO_SIM_COHORT"
-
 #: Recognized ``ExperimentConfig.engine_tier`` values. ``exact`` is
-#: the bit-exact default (incremental engine, heap queue); ``fast``
-#: turns on the calendar event queue, additive contention aggregates,
-#: adaptive governor ticks and cohort batching over the
-#: struct-of-arrays store (bounded relative error, gated by the
-#: equivalence suite's tolerance tier); ``auto`` arms the same
-#: mechanisms but starts bit-exact and flips to the fast path only
-#: once the live event population reaches
-#: ``ExperimentConfig.auto_tier_threshold``.
-ENGINE_TIERS = ("exact", "fast", "auto")
+#: the bit-exact default (the incremental engine); ``fast`` runs the
+#: cohort-batched fast tier (bounded relative error, gated by the
+#: equivalence suite's tolerance tier). Both map onto
+#: ``SimConfig.engine``.
+ENGINE_TIERS = ("exact", "fast")
 
 #: Metrics whose fast-tier error bound can be tuned per config via
 #: ``ExperimentConfig.tolerances``.
@@ -80,8 +55,8 @@ TOLERANCE_METRICS = ("records", "power", "energy")
 #: not override it for a metric.
 DEFAULT_TOLERANCE = 0.05
 
-_TRUTHY = ("1", "true", "yes", "on")
-_FALSY = ("0", "false", "no", "off")
+#: Accepted ``$REPRO_SIM_ENGINE`` values (after strip/lower-casing).
+_SIM_ENGINE_ENV_VALUES = ("", "reference", "exact")
 
 
 @dataclass(frozen=True)
@@ -114,10 +89,6 @@ class ExperimentConfig:
     #: a sorted tuple of pairs so configs stay hashable and two
     #: insertion orders of the same bounds produce one cache key.
     tolerances: Optional[Tuple[Tuple[str, float], ...]] = None
-    #: Live-event population at which the ``auto`` tier flips from
-    #: bit-exact to the cohort-batched fast path. Ignored (and omitted
-    #: from cache keys) for the other tiers.
-    auto_tier_threshold: int = 64
     #: Degradation windows (stragglers, slow HBM, flaky links, thermal
     #: throttling — see :mod:`repro.sim.perturb`) injected into every
     #: run of this cell. Accepted as specs or plain mappings and
@@ -129,8 +100,6 @@ class ExperimentConfig:
     perturbations: Tuple[PerturbationSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        from repro.errors import ConfigurationError
-
         object.__setattr__(
             self, "perturbations", normalize_perturbations(self.perturbations)
         )
@@ -158,8 +127,6 @@ class ExperimentConfig:
                     )
                 normalized.append((metric, bound))
             object.__setattr__(self, "tolerances", tuple(normalized))
-        if self.auto_tier_threshold < 1:
-            raise ConfigurationError("auto_tier_threshold must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
         if self.num_gpus < 1:
@@ -211,74 +178,42 @@ class ExperimentConfig:
     def sim_config(self, seed: int, ideal: bool = False) -> SimConfig:
         """Simulator configuration for one run.
 
-        ``$REPRO_SIM_ENGINE=reference`` routes every simulation through
-        the full-recompute reference engine (the perf baseline) and
-        ``$REPRO_SIM_EVENT_QUEUE`` selects the queue backend; both are
-        bit-exact toggles, which is why they are safe to leave out of
-        the job cache key. The *fast* accuracy tier comes either from
-        this config's ``engine_tier`` field (which hashes into the
-        cache key) or from ``$REPRO_SIM_FAST`` (which does not — see
-        :data:`SIM_FAST_ENV` for the caveat). Asking for the
-        reference oracle on a fast-tier *cell* is refused: the env
-        toggle is cache-transparent, so honoring it would record
-        reference-engine numbers under fast-tier cache keys.
+        ``engine_tier`` picks the engine. ``$REPRO_SIM_ENGINE=reference``
+        routes an exact-tier cell through the full-recompute reference
+        engine (the perf baseline); it is bit-exact, which is why it is
+        safe to leave out of the job cache key. Asking for the oracle
+        on a fast-tier cell is refused: the toggle is cache-transparent,
+        so honoring it would record reference-engine numbers under
+        fast-tier cache keys. Any other value of the variable is
+        refused too, so a typo cannot silently run the default engine.
         """
-        reference = (
-            os.environ.get(SIM_ENGINE_ENV, "").strip().lower() == "reference"
-        )
-        if reference and self.engine_tier != "exact":
-            # A fast/auto-tier *config* hashes engine_tier into its
-            # job cache key, but the engine env toggle does not —
-            # letting the oracle silently win here would populate
-            # tiered cache entries and manifests with reference-engine
-            # numbers. Refuse the combination instead.
-            from repro.errors import ConfigurationError
-
+        raw = os.environ.get(SIM_ENGINE_ENV, "")
+        env_engine = raw.strip().lower()
+        if env_engine not in _SIM_ENGINE_ENV_VALUES:
             raise ConfigurationError(
-                f"${SIM_ENGINE_ENV}=reference cannot simulate a cell "
-                f"with engine_tier={self.engine_tier!r} (the env "
-                f"toggle is excluded from the job cache key, so the "
-                f"tiered cache would record reference-engine "
-                f"results); unset one of them"
+                f"${SIM_ENGINE_ENV}={raw!r} is not an engine override "
+                f"(known: reference, exact; unset for the default)"
             )
-        fast = self.engine_tier in ("fast", "auto") or (
-            not reference
-            and os.environ.get(SIM_FAST_ENV, "").strip().lower() in _TRUTHY
-        )
-        event_queue = (
-            os.environ.get(SIM_EVENT_QUEUE_ENV, "").strip().lower()
-            or ("calendar" if fast else "heap")
-        )
-        # Cohort batching rides with the fast tier unless the (cache-
-        # transparent) env escape hatch turns it off — e.g. the perf
-        # bench's unbatched "fast" series.
-        cohort = (
-            fast
-            and os.environ.get(SIM_COHORT_ENV, "").strip().lower()
-            not in _FALSY
-        )
-        config = SimConfig(  # repro: allow[C205] governor period, power tracing, and the sim-time wall are methodology constants; changing them is a CACHE_SCHEMA_VERSION bump, not a per-cell knob
+        engine = self.engine_tier
+        if env_engine == "reference":
+            if self.engine_tier != "exact":
+                raise ConfigurationError(
+                    f"${SIM_ENGINE_ENV}=reference cannot simulate a "
+                    f"cell with engine_tier={self.engine_tier!r} (the "
+                    f"env toggle is excluded from the job cache key, so "
+                    f"the tiered cache would record reference-engine "
+                    f"results); unset one of them"
+                )
+            engine = "reference"
+        return SimConfig(  # repro: allow[C205] governor period, power tracing and the sim-time wall are methodology constants (every other field, the engine tier included, is forwarded); changing them is a CACHE_SCHEMA_VERSION bump, not a per-cell knob
             contention_enabled=not ideal,
             power_limit_w=self.power_limit_w,
             max_clock_frac=self.max_clock_frac,
             jitter_sigma=self.jitter_sigma,
             seed=seed,
-            # The engine/queue/cohort env toggles bypass the cache
-            # key: the oracle wins over $REPRO_SIM_FAST (both are
-            # cache-transparent, so no pollution is possible there).
-            reference_engine=reference,
-            event_queue=event_queue,
-            fast_contention=fast,
-            adaptive_governor=fast,
-            cohort_batching=cohort,
-            auto_tier_threshold=(
-                self.auto_tier_threshold
-                if self.engine_tier == "auto"
-                else None
-            ),
+            engine=engine,
             perturbations=self.perturbations,
         )
-        return config
 
     def with_updates(self, **kwargs) -> "ExperimentConfig":
         """Functional update helper for sweeps."""

@@ -8,15 +8,14 @@ result cache are served without simulating, the rest fan out across
 the configured executor (``--jobs N``), and infeasible cells come back
 as skipped rows rather than exceptions.
 
-:func:`run_grid` survives as a deprecated positional-argument shim over
-the spec path; new code should build a ``SweepSpec`` and call
+:func:`grid_spec_from_args` builds the ``SweepSpec`` for a plain
+(GPU, model, batch, strategy) cross-product; run any spec with
 :func:`repro.scenario.runner.run_spec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
 
@@ -24,7 +23,7 @@ from repro.core.experiment import ExperimentConfig, ExperimentResult
 from repro.core.modes import ExecutionMode
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.exec.service import ExecutionService
+    from repro.scenario.spec import SweepSpec
 
 
 @dataclass
@@ -77,7 +76,7 @@ def grid_spec_from_args(
         ExecutionMode.IDEAL,
     ),
 ) -> "SweepSpec":
-    """The :class:`SweepSpec` equivalent of ``run_grid``'s arguments.
+    """The :class:`SweepSpec` for a (GPU, model, batch, strategy) grid.
 
     Axis nesting matches :func:`grid_configs` exactly
     (gpu -> strategy -> model -> batch), so the compiled jobs are
@@ -105,43 +104,6 @@ def grid_spec_from_args(
         ],
         modes=modes,
     )
-
-
-def run_grid(
-    gpus: Sequence[str],
-    models: Sequence[str],
-    batch_sizes: Sequence[int],
-    strategies: Sequence[str] = ("fsdp",),
-    base: Optional[ExperimentConfig] = None,
-    modes: Tuple[ExecutionMode, ...] = (
-        ExecutionMode.OVERLAPPED,
-        ExecutionMode.SEQUENTIAL,
-        ExecutionMode.IDEAL,
-    ),
-    service: Optional["ExecutionService"] = None,
-) -> List[GridRow]:
-    """Deprecated positional-argument sweep API.
-
-    Kept as a compatibility shim for downstream callers: it builds the
-    equivalent :class:`~repro.scenario.spec.SweepSpec` and delegates to
-    :func:`repro.scenario.runner.run_spec`, producing bit-identical
-    rows. Jobs still go through ``service`` (default: the process-wide
-    one, which the CLI's ``--jobs``/``--no-cache`` flags configure).
-    """
-    warnings.warn(
-        "run_grid(gpus, models, ...) is deprecated; build a "
-        "repro.scenario.SweepSpec and use repro.scenario.run_spec "
-        "(or a registered scenario) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    # Function-level import: repro.scenario sits above the core layer.
-    from repro.scenario.runner import run_spec
-
-    spec = grid_spec_from_args(
-        gpus, models, batch_sizes, strategies, base, modes
-    )
-    return run_spec(spec, service=service)
 
 
 def feasible_rows(rows: Iterable[GridRow]) -> List[GridRow]:

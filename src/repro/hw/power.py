@@ -219,7 +219,7 @@ class PowerEvaluator:
     ):
         """Batched :meth:`evaluate_parts` over per-GPU component arrays.
 
-        Fixed two-datapath layout matching the batched engine's SM
+        Fixed two-datapath layout matching the fast engine's SM
         accumulators. The summation order — vector term then tensor
         term — and the per-component clamps are exactly those of
         :meth:`evaluate_parts` with ``sm_items=((VECTOR, v),
@@ -249,7 +249,7 @@ class PowerEvaluator:
         if np is not None:
             # In-place accumulation: the expression tree of the
             # original formulation allocates ~8 temporaries per call,
-            # and the batched engine calls this once per cohort with
+            # and the fast engine calls this once per cohort with
             # scratch views. Every +=/*= below preserves the scalar
             # path's association order (IEEE addition is commutative,
             # so folding ``idle`` in after the dynamic product is

@@ -35,10 +35,10 @@ class CollectiveInstance:
     #: accumulations match the reference engine's global dict order.
     seq: int = 0
     #: Index into the engine's global time-step log up to which this
-    #: instance's progress has been banked (incremental engine only).
+    #: instance's progress has been banked (exact engine only).
     bank_idx: int = 0
     #: Cumulative simulated time up to which progress has been banked
-    #: (batched engine only — O(1) banking against the engine's running
+    #: (fast engine only — O(1) banking against the engine's running
     #: time accumulator instead of replaying the time-step log).
     bank_cum: float = 0.0
 

@@ -7,29 +7,36 @@ apply the state change, launch newly unblocked stream heads, update
 rates from the contention model and (re)schedule finish events.
 Governor ticks close the DVFS loop against instantaneous power.
 
-Two engines share that machinery and produce **bit-for-bit identical**
-results (the equivalence suite pins this):
+Three engine tiers share that machinery; ``SimConfig.engine`` picks
+one (:func:`make_simulator`):
 
-* :class:`Simulator` — the full-recompute reference path: every event
-  recomputes every instance rate, every per-GPU contention aggregate
-  and every GPU's power. O(events x tasks); kept as the correctness
-  oracle and perf baseline (``SimConfig(reference_engine=True)``).
-* :class:`IncrementalSimulator` — the default: an event dirties only
-  the GPUs and collective instances whose inputs actually changed
-  (shared SM/HBM/link contention, clock moves, launches/finishes), and
-  only those are re-evaluated. Task progress banks lazily by replaying
-  the global time-step log, which reproduces the reference engine's
-  per-step float arithmetic exactly; per-GPU float accumulations
-  iterate memberships in creation order for the same reason. Stale
-  finish events are tombstoned in the queue (lazy invalidation)
-  instead of eagerly rescheduled.
+* :class:`Simulator` (``"reference"``) — the full-recompute oracle:
+  every event recomputes every instance rate, every per-GPU contention
+  aggregate and every GPU's power. O(events x tasks); kept as the
+  correctness oracle and perf baseline.
+* :class:`IncrementalSimulator` (``"exact"``, the default) — an event
+  dirties only the GPUs and collective instances whose inputs actually
+  changed (shared SM/HBM/link contention, clock moves,
+  launches/finishes), and only those are re-evaluated. Task progress
+  banks lazily by replaying the global time-step log, which reproduces
+  the reference engine's per-step float arithmetic exactly; per-GPU
+  float accumulations iterate memberships in creation order for the
+  same reason. Results are **bit-for-bit identical** to the reference
+  (the equivalence suite pins this).
+* :class:`FastSimulator` (``"fast"``) — additive contention
+  aggregates, adaptive governor ticks, cohort batching over a
+  struct-of-arrays store and O(1) progress banking. Its results carry
+  bounded relative error, gated by the equivalence suite's tolerance
+  tier.
 
-Invariant per-task quantities — jittered work and isolated durations,
-collective cost-model lookups, jitter factors — are hoisted into
-tables built once per simulation; power evaluations and roofline peaks
-are memoized on the state they depend on (see
-:class:`~repro.hw.power.PowerEvaluator` /
-:class:`~repro.sim.rates.RateModel`).
+Every tier pops one versioned binary-heap
+:class:`~repro.sim.events.EventQueue`; stale finish events are
+tombstoned (lazy invalidation) instead of eagerly removed. Invariant
+per-task quantities — jittered work and isolated durations, collective
+cost-model lookups, jitter factors — are hoisted into tables built
+once per simulation; power evaluations and roofline peaks are memoized
+on the state they depend on (see :class:`~repro.hw.power.PowerEvaluator`
+/ :class:`~repro.sim.rates.RateModel`).
 """
 
 from __future__ import annotations
@@ -51,7 +58,7 @@ from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy, observe_many
 from repro.hw.system import NodeSpec
 from repro.sim.collective_sync import CollectiveInstance
 from repro.sim.config import SimConfig
-from repro.sim.events import EventKind, make_event_queue
+from repro.sim.events import EventKind, EventQueue
 from repro.sim.prep import PreparedSim, prepare, reset_prepared, run_arena
 from repro.sim.rates import RateModel
 from repro.sim.result import PowerSegment, SimulationResult, TaskRecord
@@ -79,7 +86,7 @@ _COLLECTIVE_FINISH = EventKind.COLLECTIVE_FINISH
 _PERTURB_BEGIN = EventKind.PERTURB_BEGIN
 _PERTURB_END = EventKind.PERTURB_END
 #: TASK_FINISH events exist only for compute entries (comm retires
-#: through COLLECTIVE_FINISH), so the batched finish branch records
+#: through COLLECTIVE_FINISH), so the fast tier's finish branch records
 #: this constant instead of calling the ``category`` property.
 _CAT_COMPUTE = TaskCategory.COMPUTE
 #: (start_s, task_id) over TaskRecord's tuple layout — the result-sort
@@ -119,7 +126,7 @@ class _RunningCompute:
     ai: float = float("inf")
     #: Short kernels never reach steady-state power; this precomputed
     #: ``isolated_s / (isolated_s + 50e-6)`` ramp discount is used by
-    #: the batched tier's fused power loop (the exact tiers compute
+    #: the fast tier's fused power loop (the exact tiers compute
     #: the identical quotient inline).
     ramp: float = 1.0
     #: Whether the kernel issues on the vector datapath (else tensor);
@@ -136,10 +143,10 @@ class _RunningCompute:
     #: assignment must push even if the placeholder rate matches).
     scheduled: bool = False
     #: Index into the engine's time-step log up to which progress has
-    #: been banked (incremental engine only).
+    #: been banked (exact engine only).
     bank_idx: int = 0
     #: Cumulative simulated time up to which progress has been banked
-    #: (batched engine only — O(1) banking, no replay log).
+    #: (fast engine only — O(1) banking, no replay log).
     bank_cum: float = 0.0
     #: Per-clock free-running utilisation, resolved through the shared
     #: RateModel memo on first use (values are identical; this cache
@@ -158,14 +165,11 @@ class EngineStats:
     #: Governor tick schedulings skipped by the adaptive cadence
     #: (fast tier only; one count per provably-no-op skip decision).
     ticks_skipped: int = 0
-    #: Same-timestamp event cohorts drained by the batched engine
+    #: Same-timestamp event cohorts drained by the fast engine
     #: (events / cohorts is the mean batching factor).
     cohorts: int = 0
     #: Multi-GPU recompute batches evaluated through the numpy path.
     vector_batches: int = 0
-    #: Exact-to-batched transitions performed by the auto engine
-    #: (0 when the run stayed under the threshold, else 1).
-    auto_flips: int = 0
     #: Perturbation windows opened/closed (one count per applied
     #: PERTURB_BEGIN/PERTURB_END event).
     perturb_events: int = 0
@@ -229,14 +233,9 @@ class Simulator:
             prepared.stream_keys, 0
         )
         self.done: set = set()
-        self._tasks_src = tasks
 
         self.time = 0.0
-        # Calendar buckets (when selected) are keyed to the governor
-        # period — the natural spacing of the event population.
-        self.queue = make_event_queue(
-            config.event_queue, bucket_width_s=config.governor_period_s
-        )
+        self.queue = EventQueue()
         self.running: Dict[int, _RunningCompute] = {}
         self.instances: Dict[str, CollectiveInstance] = {}
         self._inst_seq = 0
@@ -278,16 +277,6 @@ class Simulator:
         #: Count of GPUs with a tick outstanding (fast-path exit for
         #: the per-event _ensure_ticks sweep).
         self._ticks_outstanding = 0
-        #: GPUs whose next tick is provably a no-op (adaptive cadence
-        #: only). Membership is invalidated the moment the GPU's power
-        #: is re-evaluated, so the skip predicate is never stale.
-        self._tick_blocked: set = set()
-        #: GPUs with no tick in flight and not blocked — the exact set
-        #: _ensure_ticks may need to schedule. The three sets/flags are
-        #: kept disjoint-consistent (pending / blocked / unscheduled
-        #: partition the governed GPUs) so the batched engine can skip
-        #: its tick sweep entirely when this is empty.
-        self._tick_unscheduled: set = set(range(node.num_gpus))
         self._power_now: Dict[int, float] = {}
         #: Open power segment per GPU as a plain tuple
         #: (start_s, power_w, compute_active, comm_active, clock_frac);
@@ -383,7 +372,7 @@ class Simulator:
         self._try_launch()
         self._recompute()
         self._ensure_ticks()
-        # Same rationale as the batched tier's loop: the drain
+        # Same rationale as the fast tier's loop: the drain
         # allocates no reference cycles, so generational collection
         # scans during it are pure overhead. Restore the caller's
         # setting even on simulation errors.
@@ -477,9 +466,6 @@ class Simulator:
                 f"stream {key}: completing task {expected} but head is {head}"
             )
         self._stream_pos[key] = pos + 1
-
-    def _deps_met(self, task: Task) -> bool:
-        return task.deps <= self.done
 
     def _maybe_launch_head(self, key: Tuple[int, str]) -> bool:
         """Launch/post the head of one stream if it is runnable."""
@@ -708,10 +694,11 @@ class Simulator:
     ) -> Tuple[float, float, float]:
         """(sm_avail, hbm_avail, eff_clock) from raw contention terms.
 
-        One home for the contention formulas — the clamp, the
-        starvation floors, interference scaling and the ideal-mode
-        bypass — shared by every tier; the tiers differ only in how
-        the raw ``comm_*`` sums are obtained.
+        The contention formulas — the clamp, the starvation floors,
+        interference scaling and the ideal-mode bypass — for both exact
+        tiers; the fast tier's fused loops inline the same formulas
+        over its additive aggregates (:meth:`FastSimulator
+        ._fused_availability`).
         """
         if not self.config.contention_enabled:
             return 1.0, self._hbm_eff, self.config.max_clock_frac
@@ -734,9 +721,9 @@ class Simulator:
     ) -> None:
         """Re-derive each running kernel's rate from its fair share.
 
-        Shared verbatim by every engine tier (the tiers differ only in
-        how ``sm_avail``/``hbm_avail`` are aggregated), so the roofline
-        arithmetic and the push-on-change event discipline live once.
+        Shared verbatim by both exact tiers (they differ only in how
+        their resident sets are gathered), so the roofline arithmetic
+        and the push-on-change event discipline live once.
         ``rate_mul`` is the GPU's straggler derate (1.0 when healthy),
         applied after the roofline floor so the rate stays positive.
         """
@@ -836,29 +823,6 @@ class Simulator:
                 sm_util.get(Datapath.VECTOR, 0.0)
                 + _SPIN_VECTOR_UTIL * inst.cost.sm_fraction
             )
-        self._commit_power(
-            gpu_index,
-            clock,
-            hbm_used,
-            link_frac,
-            sm_util,
-            compute_active=bool(entries),
-            comm_active=bool(insts),
-        )
-
-    def _commit_power(
-        self,
-        gpu_index: int,
-        clock: float,
-        hbm_used: float,
-        link_frac: float,
-        sm_util: Dict[Datapath, float],
-        compute_active: bool,
-        comm_active: bool,
-    ) -> None:
-        """Evaluate + publish one GPU's power (shared by every tier):
-        memoized evaluation, the governor's view, adaptive-tick
-        re-arming and the power-segment roll."""
         power = self._power_eval.evaluate_parts(
             clock,
             hbm_used / self._hbm_bw,
@@ -866,15 +830,11 @@ class Simulator:
             tuple(sm_util.items()),
         )
         self._power_now[gpu_index] = power
-        blocked = self._tick_blocked
-        if gpu_index in blocked:
-            blocked.remove(gpu_index)
-            self._tick_unscheduled.add(gpu_index)
         self._maybe_roll_segment(
             gpu_index,
             power,
-            compute_active=compute_active,
-            comm_active=comm_active,
+            compute_active=bool(entries),
+            comm_active=bool(insts),
             clock=clock,
         )
 
@@ -894,41 +854,18 @@ class Simulator:
         Ticks are NOT scheduled when the machine is fully stalled, so a
         rendezvous deadlock drains the queue and is reported as such
         instead of ticking forever.
-
-        With ``adaptive_governor`` on, a tick is additionally skipped
-        while it is provably a no-op (power and its moving average at
-        or under the limit, clock pinned at the cap — see
-        :meth:`FrequencyGovernor.would_noop`). Power is piecewise
-        constant between events and this method runs after every
-        event's recompute, so any dirty-set change that moves a GPU's
-        power re-evaluates the skip and re-arms the tick immediately.
         """
         governors = self._governors
         if not governors or not self._has_activity():
             return
-        # Fast path: every governed GPU is either awaiting its tick or
-        # provably skippable — nothing to schedule this event.
-        if self._ticks_outstanding + len(self._tick_blocked) >= len(
-            governors
-        ):
+        # Fast path: every governed GPU is awaiting its tick — nothing
+        # to schedule this event.
+        if self._ticks_outstanding >= len(governors):
             return
-        adaptive = self.config.adaptive_governor
-        blocked = self._tick_blocked
-        unscheduled = self._tick_unscheduled
         for gpu_index, pending in self._tick_pending.items():
-            if pending or gpu_index in blocked:
+            if pending:
                 continue
-            if adaptive:
-                power = self._power_now.get(gpu_index)
-                if power is not None and governors[gpu_index].would_noop(
-                    power
-                ):
-                    self.stats.ticks_skipped += 1
-                    blocked.add(gpu_index)
-                    unscheduled.discard(gpu_index)
-                    continue
             self._tick_pending[gpu_index] = True
-            unscheduled.discard(gpu_index)
             self._ticks_outstanding += 1
             self.queue.schedule(
                 self.time + self.config.governor_period_s,
@@ -938,7 +875,6 @@ class Simulator:
 
     def _governor_tick(self, gpu_index: int) -> None:
         self._tick_pending[gpu_index] = False
-        self._tick_unscheduled.add(gpu_index)
         self._ticks_outstanding -= 1
         governor = self._governors.get(gpu_index)
         if governor is None:
@@ -1174,10 +1110,9 @@ class IncrementalSimulator(Simulator):
         self._active_inst_count = 0
         #: Streams whose head may have become launchable.
         self._launch_candidates: Set[Tuple[int, str]] = set(self.streams)
-        #: Stream ordering plus the reverse-dependency / wake-stream
-        #: indexes, all read-only from the prep layer.
+        #: Stream ordering plus the wake-stream index, both read-only
+        #: from the prep layer.
         self._stream_order = self.prepared.stream_order
-        self._dependents = self.prepared.dependents
         self._wake_streams = self.prepared.wake_streams
 
     def _finalize(self) -> SimulationResult:
@@ -1358,7 +1293,7 @@ class IncrementalSimulator(Simulator):
             self._dirty_gpus.clear()
 
     def _recompute_insts(self) -> None:
-        """Re-derive dirty instances' rates (shared with the batched
+        """Re-derive dirty instances' rates (shared with the fast
         engine, whose banking dispatch differs but whose instance-rate
         discipline is identical)."""
         # Creation order == the reference engine's global
@@ -1400,19 +1335,50 @@ class IncrementalSimulator(Simulator):
 
 
 class FastSimulator(IncrementalSimulator):
-    """The fast accuracy tier: O(1) additive contention aggregates.
+    """The fast accuracy tier: cohort-batched over additive aggregates.
 
-    Where :class:`IncrementalSimulator` re-reduces a dirty GPU's
-    resident collective sets on every recompute (exact, and in the
-    reference engine's float order), this engine maintains per-GPU
-    *additive* aggregates — communication SM share, spin SM share, HBM
-    draw and link utilisation — updated in O(1) when an instance
-    posts, starts, changes rate or retires. Incremental float
-    accumulation visits the terms in event order rather than creation
-    order, so results carry bounded relative error instead of
-    bit-exactness; the equivalence suite's tolerance tier gates it.
-    Aggregates snap back to exactly 0.0 whenever a GPU's resident set
-    empties, so the drift cannot compound across program phases.
+    Four mechanisms on top of the exact incremental machinery, all
+    within one tolerance contract (gated by the equivalence suite's
+    tolerance tier):
+
+    * **Additive contention aggregates** — per-GPU communication SM
+      share, spin SM share, HBM draw and link utilisation are updated
+      in O(1) when an instance posts, starts, changes rate or retires,
+      instead of re-reducing the resident sets on every recompute.
+      Incremental float accumulation visits the terms in event order
+      rather than creation order, hence bounded relative error instead
+      of bit-exactness. Aggregates snap back to exactly 0.0 whenever a
+      GPU's resident set empties, so the drift cannot compound across
+      program phases.
+    * **Adaptive governor ticks** — a tick is skipped while it is
+      provably a no-op (power and its moving average at or under the
+      limit, clock pinned at the cap — see
+      :meth:`FrequencyGovernor.would_noop`) and re-armed as soon as a
+      recompute moves the GPU's power. Throttle onset can shift by up
+      to one control period.
+    * **Cohort batching** — all events sharing a timestamp are popped
+      as one cohort (:meth:`EventQueue.pop_live_cohort`), their state
+      deltas applied together, and rates/power/DVFS re-evaluated once
+      per (cohort x dirty GPU) instead of once per event. Applying a
+      cohort member never reschedules or invalidates another member
+      (finishes and ticks only mutate state the *recompute* reads), so
+      draining the whole timestamp before recomputing is sound.
+      Governor ticks landing mid-cohort observe the pre-cohort power
+      and are applied after the finishes (:func:`observe_many`).
+      Per-GPU clock, power and the aggregates live in one
+      :class:`~repro.sim.soa.SoAStore`; the per-GPU recompute is fused
+      into a single pass that derives each running kernel's rate *and*
+      its power terms, evaluating the power formula directly. When a
+      cohort dirties many GPUs at once the evaluation goes through the
+      numpy-vectorized ``*_many`` entry points; the pure-python
+      fallback (no numpy, or ``REPRO_SIM_NO_NUMPY=1``) is bit-for-bit
+      identical.
+    * **O(1) banking** — progress banks against a running cumulative
+      simulated time (``bank_cum``) in one multiply instead of
+      replaying the per-step log. Value-equal for a constant rate
+      (rates only change after banking), but the single fused multiply
+      rounds differently than the per-step replay — a tolerance-tier
+      difference, never a semantic one.
     """
 
     def __init__(
@@ -1426,23 +1392,97 @@ class FastSimulator(IncrementalSimulator):
         super().__init__(
             node, tasks, config, cost_model=cost_model, prepared=prepared
         )
+        config = self.config
+        prep = self.prepared
         num_gpus = node.num_gpus
+        store = self._arena.acquire_soa(
+            num_gpus, config.max_clock_frac, prep.idle_power_w
+        )
+        self._soa = store
+        # Alias the store's arrays over the dict/list state the parent
+        # classes created: inherited hooks and the fused loops share
+        # this storage.
+        self._clock = store.clock
+        self._power_now = store.power
         #: Sum of cost.sm_fraction over active instances per GPU.
-        self._agg_comm_sm: List[float] = [0.0] * num_gpus
+        self._agg_comm_sm = store.comm_sm
         #: Sum of cost.sm_fraction over spinning instances per GPU.
-        self._agg_spin_sm: List[float] = [0.0] * num_gpus
+        self._agg_spin_sm = store.spin_sm
         #: Sum of instance HBM draw (bytes/s) over active instances.
-        self._agg_hbm: List[float] = [0.0] * num_gpus
+        self._agg_hbm = store.hbm
         #: Sum of instance link utilisation over active instances.
-        self._agg_link: List[float] = [0.0] * num_gpus
+        self._agg_link = store.link
         #: Last rate-dependent contribution added per instance seq, so
         #: rate changes and retirement apply exact-value deltas.
         self._inst_hbm_contrib: Dict[int, float] = {}
         self._inst_link_contrib: Dict[int, float] = {}
+        # Perturbation multipliers move into the store too (all still
+        # identity: no PERTURB event can have fired during __init__).
+        self._perturb_rate = store.rate_mul
+        self._perturb_hbm = store.hbm_mul
+        self._perturb_link = store.link_mul
+        self._perturb_cap = store.clock_cap
+        #: GPUs whose next tick is provably a no-op. Membership is
+        #: invalidated the moment the GPU's power is re-evaluated, so
+        #: the skip predicate is never stale.
+        self._tick_blocked: Set[int] = set()
+        #: GPUs with no tick in flight and not blocked — the exact set
+        #: _ensure_ticks may need to schedule (in flight / blocked /
+        #: unscheduled partition the governed GPUs), so the event loop
+        #: skips its tick sweep entirely when this is empty.
+        self._tick_unscheduled: Set[int] = set(range(num_gpus))
+        #: Cumulative simulated time — the O(1) banking base.
+        self._cum_dt = 0.0
+        self._np = numpy_or_none()
+        # Staging arrays for the vectorized multi-GPU drain; that path
+        # is gated on numpy being in play, so so is the scratch.
+        self._cohort_scratch = (
+            CohortScratch(num_gpus, self._np)
+            if self._np is not None
+            else None
+        )
+        # Hot invariants for the fused evaluation loop.
+        self._contention = config.contention_enabled
+        self._one_minus_interf = 1.0 - self._interference
+        self._hbm_floor = _MIN_HBM_FRACTION * self._hbm_eff
+        self._max_clock0 = config.max_clock_frac
+        self._governor_period_s = config.governor_period_s
+        #: Bound method of the shared evaluator's clock-pow memo; the
+        #: fused loop calls it once per dirty GPU per cohort.
+        self._clock_term = self._power_eval.clock_term
+        if prep.missing_paths:
+            raise ConfigurationError(
+                f"no SM power coefficient for {prep.missing_paths[0]}"
+            )
+        self._vec_max = prep.vec_max
+        self._ten_max = prep.ten_max
+        self._idle_frac = prep.idle_frac
+        self._hbm_max = prep.hbm_max
+        self._link_max = prep.link_max
+        self._tdp = prep.tdp
+        # Closure over the now-complete hot state (see the factory's
+        # docstring); every piece it binds is initialized above.
+        self._recompute_gpu_fused = self._make_fused_recompute()
 
     # ------------------------------------------------------------------
-    # aggregate maintenance
+    # aggregate maintenance and O(1) banking
     # ------------------------------------------------------------------
+
+    def _bank_instance(self, inst: CollectiveInstance) -> None:
+        cum = self._cum_dt
+        behind = cum - inst.bank_cum
+        if behind > 0.0:
+            w = inst.work_remaining - inst.rate * behind
+            inst.work_remaining = w if w > 0.0 else 0.0
+            inst.bank_cum = cum
+            inst.last_update_s = self.time
+
+    def _on_compute_launched(self, entry: _RunningCompute) -> None:
+        # The incremental hook, inlined (one frame per launch).
+        entry.bank_cum = self._cum_dt
+        gpu = entry.task.gpu
+        self._running_on[gpu][entry.tid] = entry
+        self._dirty_gpus.add(gpu)
 
     def _on_comm_posted(self, task: CommTask, inst: CollectiveInstance) -> None:
         super()._on_comm_posted(task, inst)
@@ -1460,11 +1500,12 @@ class FastSimulator(IncrementalSimulator):
         for gpu in inst.op.participants:
             self._agg_comm_sm[gpu] += sm_fraction
         # Rate is still 0 at the rendezvous; the first recompute sets
-        # it and accounts the HBM/link contributions below.
+        # it and accounts the HBM/link contributions.
         self._inst_hbm_contrib[inst.seq] = 0.0
         self._inst_link_contrib[inst.seq] = 0.0
+        inst.bank_cum = self._cum_dt
 
-    def _apply_rate_contribution(self, inst: CollectiveInstance) -> None:
+    def _on_instance_rate_changed(self, inst: CollectiveInstance) -> None:
         """Fold an instance's new rate into its participants' sums."""
         seq = inst.seq
         new_hbm = inst.hbm_demand_now()
@@ -1494,263 +1535,6 @@ class FastSimulator(IncrementalSimulator):
                 self._agg_comm_sm[gpu] = 0.0
                 self._agg_hbm[gpu] = 0.0
                 self._agg_link[gpu] = 0.0
-
-    # ------------------------------------------------------------------
-    # recompute from aggregates
-    # ------------------------------------------------------------------
-
-    def _on_instance_rate_changed(self, inst: CollectiveInstance) -> None:
-        self._apply_rate_contribution(inst)
-
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        """One GPU's rates + power from the additive aggregates.
-
-        Same contention formulas and entry-rate loop as the exact
-        engines; only the communication terms come from the O(1)
-        aggregates instead of a resident-set reduction.
-        """
-        self.stats.gpu_rate_passes += 1
-        clock = self._clock[gpu_index]
-        active_count = len(self._active_on[gpu_index])
-        sm_avail, hbm_avail, eff_clock = self._availability(
-            clock,
-            max(0.0, self._agg_comm_sm[gpu_index]),
-            max(0.0, self._agg_spin_sm[gpu_index]),
-            max(0.0, self._agg_hbm[gpu_index]),
-            bool(active_count),
-        )
-        rate_mul = 1.0
-        if self._perturbed:
-            rate_mul = self._perturb_rate[gpu_index]
-            hbm_mul = self._perturb_hbm[gpu_index]
-            if hbm_mul != 1.0:
-                hbm_avail *= hbm_mul
-            cap = self._perturb_cap[gpu_index]
-            if eff_clock > cap:
-                eff_clock = cap
-        running = self._running_on[gpu_index]
-        self._update_entry_rates(
-            running.values(), len(running), sm_avail, hbm_avail, eff_clock,
-            rate_mul,
-        )
-        self._update_power_fast(gpu_index, clock, active_count)
-
-    def _update_power_fast(
-        self, gpu_index: int, clock: float, active_count: int
-    ) -> None:
-        """Power from aggregates: O(running) instead of O(residents).
-
-        The per-instance vector/HBM/link loops of ``_update_power``
-        collapse into the aggregate sums (same coefficients, shared
-        module constants); the evaluation/publishing tail is the
-        shared :meth:`_commit_power`.
-        """
-        sm_util: Dict[Datapath, float] = {}
-        running = self._running_on[gpu_index]
-        hbm_used = self._compute_power_terms(
-            list(running.values()), clock, sm_util
-        )
-        link_frac = 0.0
-        if active_count:
-            hbm_used += max(0.0, self._agg_hbm[gpu_index])
-            link_frac = max(0.0, self._agg_link[gpu_index])
-            # Channel copy loops run on the vector pipes.
-            sm_util[Datapath.VECTOR] = (
-                sm_util.get(Datapath.VECTOR, 0.0)
-                + _COMM_VECTOR_UTIL * max(0.0, self._agg_comm_sm[gpu_index])
-            )
-        if self._spinning_on[gpu_index]:
-            # Busy-polling channels draw some vector power, no data.
-            sm_util[Datapath.VECTOR] = (
-                sm_util.get(Datapath.VECTOR, 0.0)
-                + _SPIN_VECTOR_UTIL * max(0.0, self._agg_spin_sm[gpu_index])
-            )
-        self._commit_power(
-            gpu_index,
-            clock,
-            hbm_used,
-            link_frac,
-            sm_util,
-            compute_active=bool(running),
-            comm_active=bool(active_count),
-        )
-
-
-class BatchedSimulator(FastSimulator):
-    """Cohort-batched fast tier over the struct-of-arrays store.
-
-    Three mechanisms on top of :class:`FastSimulator`, all within the
-    same tolerance contract (gated by the equivalence suite's
-    tolerance tier):
-
-    * **Cohort batching** — all events sharing a timestamp are popped
-      as one cohort (:meth:`EventQueue.pop_live_cohort`), their state
-      deltas applied together, and rates/power/DVFS re-evaluated once
-      per (cohort x dirty GPU) instead of once per event. Applying a
-      cohort member never reschedules or invalidates another member
-      (finishes and ticks only mutate state the *recompute* reads), so
-      draining the whole timestamp before recomputing is sound.
-      Governor ticks landing mid-cohort observe the pre-cohort power
-      and are applied after the finishes (:func:`observe_many`).
-    * **Struct-of-arrays hot state** — per-GPU clock, power and the
-      additive contention aggregates live in one
-      :class:`~repro.sim.soa.SoAStore`; the per-GPU recompute is fused
-      into a single pass that derives each running kernel's rate *and*
-      its power terms, evaluating the power formula directly. When a
-      cohort dirties many GPUs at once the evaluation goes through the
-      numpy-vectorized ``*_many`` entry points; the pure-python
-      fallback (no numpy, or ``REPRO_SIM_NO_NUMPY=1``) is bit-for-bit
-      identical.
-    * **O(1) banking** — progress banks against a running cumulative
-      simulated time (``bank_cum``) in one multiply instead of
-      replaying the per-step log. Value-equal for a constant rate
-      (rates only change after banking), but the single fused multiply
-      rounds differently than the per-step replay — a tolerance-tier
-      difference, never a semantic one.
-    """
-
-    def __init__(
-        self,
-        node: NodeSpec,
-        tasks: Sequence[Task],
-        config: Optional[SimConfig] = None,
-        cost_model: Optional[CollectiveCostModel] = None,
-        prepared: Optional[PreparedSim] = None,
-    ):
-        super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
-        )
-        config = self.config
-        prep = self.prepared
-        store = self._arena.acquire_soa(
-            node.num_gpus, config.max_clock_frac, prep.idle_power_w
-        )
-        self._soa = store
-        # Alias the store's arrays over the dict/list state the parent
-        # classes created: inherited hooks, the fused loops and the
-        # pre-flip exact path (AutoSimulator) all share this storage.
-        self._clock = store.clock
-        self._power_now = store.power
-        self._agg_comm_sm = store.comm_sm
-        self._agg_spin_sm = store.spin_sm
-        self._agg_hbm = store.hbm
-        self._agg_link = store.link
-        # Perturbation multipliers move into the store too (all still
-        # identity: no PERTURB event can have fired during __init__).
-        self._perturb_rate = store.rate_mul
-        self._perturb_hbm = store.hbm_mul
-        self._perturb_link = store.link_mul
-        self._perturb_cap = store.clock_cap
-        #: Cumulative simulated time — the O(1) banking base.
-        self._cum_dt = 0.0
-        self._np = numpy_or_none()
-        # Staging arrays for the vectorized multi-GPU drain; that path
-        # is gated on numpy being in play, so so is the scratch.
-        self._cohort_scratch = (
-            CohortScratch(node.num_gpus, self._np)
-            if self._np is not None
-            else None
-        )
-        self._adaptive = config.adaptive_governor
-        # Hot invariants for the fused evaluation loop.
-        self._contention = config.contention_enabled
-        self._one_minus_interf = 1.0 - self._interference
-        self._hbm_floor = _MIN_HBM_FRACTION * self._hbm_eff
-        self._max_clock0 = config.max_clock_frac
-        self._governor_period_s = config.governor_period_s
-        #: Bound method of the shared evaluator's clock-pow memo; the
-        #: fused loop calls it once per dirty GPU per cohort.
-        self._clock_term = self._power_eval.clock_term
-        if prep.missing_paths:
-            raise ConfigurationError(
-                f"no SM power coefficient for {prep.missing_paths[0]}"
-            )
-        self._vec_max = prep.vec_max
-        self._ten_max = prep.ten_max
-        self._idle_frac = prep.idle_frac
-        self._hbm_max = prep.hbm_max
-        self._link_max = prep.link_max
-        self._tdp = prep.tdp
-        # Closure over the now-complete hot state (see the factory's
-        # docstring); every piece it binds is initialized above.
-        self._recompute_gpu_fused = self._make_fused_recompute()
-
-    # ------------------------------------------------------------------
-    # O(1) banking
-    # ------------------------------------------------------------------
-
-    def _advance_to(self, t: float) -> None:
-        time = self.time
-        if t > time:
-            self._cum_dt += t - time
-            self.time = t
-        elif t < time - 1e-12:
-            raise SimulationError("event time went backwards")
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        cum = self._cum_dt
-        behind = cum - entry.bank_cum
-        if behind > 0.0:
-            w = entry.work_remaining - entry.rate * behind
-            entry.work_remaining = w if w > 0.0 else 0.0
-            entry.bank_cum = cum
-
-    def _bank_instance(self, inst: CollectiveInstance) -> None:
-        cum = self._cum_dt
-        behind = cum - inst.bank_cum
-        if behind > 0.0:
-            w = inst.work_remaining - inst.rate * behind
-            inst.work_remaining = w if w > 0.0 else 0.0
-            inst.bank_cum = cum
-            inst.last_update_s = self.time
-
-    def _on_compute_launched(self, entry: _RunningCompute) -> None:
-        # The incremental hook, inlined (one frame per launch);
-        # bank_idx still primes the auto engine's exact phase.
-        entry.bank_idx = len(self._dts)
-        entry.bank_cum = self._cum_dt
-        gpu = entry.task.gpu
-        self._running_on[gpu][entry.tid] = entry
-        self._dirty_gpus.add(gpu)
-
-    def _on_instance_started(self, inst: CollectiveInstance) -> None:
-        super()._on_instance_started(inst)
-        inst.bank_cum = self._cum_dt
-
-    def _finish_compute(self, tid: int) -> None:
-        # The base method with _pop_head and the per-completion hooks
-        # (_on_compute_finished, _on_task_done) inlined: three python
-        # frames per finished task otherwise, on the hottest dispatch.
-        # Keep line-for-line equivalent to those methods.
-        entry = self.running.pop(tid)
-        task = entry.task
-        gpu = task.gpu
-        key = (gpu, task.stream)
-        order = self.streams[key]
-        pos = self._stream_pos[key]
-        head = order[pos] if pos < len(order) else None
-        if head != tid:
-            raise SimulationError(
-                f"stream {key}: completing task {tid} but head is {head}"
-            )
-        self._stream_pos[key] = pos + 1
-        self.done.add(tid)
-        self.records.append(
-            TaskRecord(
-                tid,
-                gpu,
-                task.stream,
-                task.label,
-                task.category,
-                task.phase,
-                entry.started_at,
-                self.time,
-                entry.isolated_s,
-            )
-        )
-        self._running_on[gpu].pop(tid, None)
-        self._dirty_gpus.add(gpu)
-        self._launch_candidates.update(self._wake_streams[tid])
 
     def _release_run_state(self) -> None:
         if not self._arena_released:
@@ -1787,12 +1571,12 @@ class BatchedSimulator(FastSimulator):
 
         The finish / launch / recompute dispatch bodies are inlined
         here on hoisted locals — line-for-line equivalent to
-        :meth:`_finish_compute`, :meth:`_try_launch` (plus
-        :meth:`_launch_compute`) and :meth:`_recompute`, which remain
-        the canonical copies (the auto engine's pre-flip loop and the
-        non-loop callers still dispatch through them). Python frames
-        are the dominant cost at this call rate; keep the copies in
-        sync when touching either.
+        :meth:`_finish_compute` (plus its ``_on_*`` hooks),
+        :meth:`_try_launch` (plus :meth:`_launch_compute`) and
+        :meth:`_recompute`, which remain the canonical copies
+        (:meth:`run`'s priming pass still dispatches through the last
+        two). Python frames are the dominant cost at this call rate;
+        keep the copies in sync when touching either.
         """
         config = self.config
         max_time = config.max_sim_time_s
@@ -1824,7 +1608,6 @@ class BatchedSimulator(FastSimulator):
         dirty_gpus = self._dirty_gpus
         dirty_insts = self._dirty_insts
         tick_unscheduled = self._tick_unscheduled
-        dts = self._dts
         events = 0
         cohorts = 0
         # Reused cohort buffer: the loop fully consumes each cohort
@@ -1842,8 +1625,7 @@ class BatchedSimulator(FastSimulator):
                     )
                 events += len(cohort)
                 cohorts += 1
-                # _advance_to, inlined (the auto engine's override is
-                # equivalent once flipped).
+                # Advance the clock and the O(1) banking base.
                 time_now = self.time
                 if t > time_now:
                     self._cum_dt += t - time_now
@@ -1944,7 +1726,6 @@ class BatchedSimulator(FastSimulator):
                                 free_util0, tid,
                             )
                             running[tid] = entry
-                            entry.bank_idx = len(dts)
                             entry.bank_cum = self._cum_dt
                             running_on[task.gpu][tid] = entry
                             dirty_gpus.add(task.gpu)
@@ -1982,13 +1763,7 @@ class BatchedSimulator(FastSimulator):
         only after the cohort), matching the single-tick discipline.
         """
         governors = self._governors
-        pending = self._tick_pending
-        for gpu_index in gpus:
-            pending[gpu_index] = False
         self._tick_unscheduled.update(gpus)
-        self._ticks_outstanding -= len(gpus)
-        if not governors:  # pragma: no cover - ticks imply governors
-            return
         clock = self._clock
         power = self._power_now
         if len(gpus) == 1:
@@ -2015,31 +1790,15 @@ class BatchedSimulator(FastSimulator):
                 min_seen = new_clock
         self._min_clock_seen = min_seen
 
-    # ------------------------------------------------------------------
-    # governor (list-backed state; bit-equal to the base dispatch)
-    # ------------------------------------------------------------------
-
-    def _governor_tick(self, gpu_index: int) -> None:
-        self._tick_pending[gpu_index] = False
-        self._tick_unscheduled.add(gpu_index)
-        self._ticks_outstanding -= 1
-        governor = self._governors.get(gpu_index)
-        if governor is None:
-            return
-        # _power_now is primed with idle power at construction, so the
-        # base dispatch's None fallback cannot trigger here.
-        new_clock = governor.observe(self._power_now[gpu_index])
-        if self._perturbed:
-            cap = self._perturb_cap[gpu_index]
-            if new_clock > cap:
-                new_clock = cap
-                governor.clock_frac = cap
-        if new_clock != self._clock[gpu_index]:
-            self._clock[gpu_index] = new_clock
-            self._on_clock_changed(gpu_index)
-        self._min_clock_seen = min(self._min_clock_seen, new_clock)
-
     def _ensure_ticks(self) -> None:
+        """Schedule governor ticks, skipping provable no-ops.
+
+        A GPU's tick is skipped while :meth:`FrequencyGovernor
+        .would_noop` holds. Power is piecewise constant between events
+        and every power re-evaluation moves the GPU from blocked back
+        to unscheduled, so any change that moves a GPU's power
+        re-evaluates the skip and re-arms the tick immediately.
+        """
         governors = self._governors
         if not governors:
             return
@@ -2049,11 +1808,7 @@ class BatchedSimulator(FastSimulator):
         unscheduled = self._tick_unscheduled
         if not unscheduled:
             return
-        # The auto engine runs non-adaptively before its flip; the
-        # instance attribute (not the config) is the live switch.
-        adaptive = self._adaptive
         blocked = self._tick_blocked
-        pending = self._tick_pending
         power_now = self._power_now
         schedule = self.queue.schedule
         next_t = self.time + self._governor_period_s
@@ -2068,23 +1823,20 @@ class BatchedSimulator(FastSimulator):
         else:
             sweep = sorted(unscheduled)
         for gpu_index in sweep:
-            if adaptive:
-                # Governor.would_noop, inlined (same comparisons in the
-                # same order) — one method frame per GPU per cohort at
-                # the loop's call rate.
-                governor = governors[gpu_index]
-                policy = governor.policy
-                if (
-                    not power_now[gpu_index] > policy.limit_w
-                    and not governor.clock_frac < policy.max_clock_frac
-                    and governor._ewma_w <= policy.limit_w
-                ):
-                    skipped += 1
-                    blocked.add(gpu_index)
-                    unscheduled.discard(gpu_index)
-                    continue
-            pending[gpu_index] = True
-            self._ticks_outstanding += 1
+            # Governor.would_noop, inlined (same comparisons in the same
+            # order) — one method frame per GPU per cohort at the loop's
+            # call rate.
+            governor = governors[gpu_index]
+            policy = governor.policy
+            if (
+                not power_now[gpu_index] > policy.limit_w
+                and not governor.clock_frac < policy.max_clock_frac
+                and governor._ewma_w <= policy.limit_w
+            ):
+                skipped += 1
+                blocked.add(gpu_index)
+                unscheduled.discard(gpu_index)
+                continue
             schedule(next_t, _GOVERNOR_TICK, gpu_index)
             unscheduled.discard(gpu_index)
         if skipped:
@@ -2118,8 +1870,8 @@ class BatchedSimulator(FastSimulator):
         """:meth:`_availability` from the aggregates, branch-inlined.
 
         Same clamps, floors and interference scaling in the same
-        order; the ``max(0.0, agg)`` guards mirror the unbatched fast
-        tier's reads of the additive aggregates.
+        order; negative aggregates (float residue from the add/remove
+        churn) read as 0.0.
         """
         if not self._contention:
             return 1.0, self._hbm_eff, self.config.max_clock_frac
@@ -2151,15 +1903,16 @@ class BatchedSimulator(FastSimulator):
         One pass over the GPU's running kernels derives each rate
         (push-on-change, O(1) banking) *and* accumulates the SM/HBM
         power terms, then evaluates the power formula directly — the
-        same arithmetic as the unbatched fast tier's two-pass
-        ``_update_entry_rates`` + ``_update_power_fast`` (power-term
+        same arithmetic as the exact tiers' two-pass
+        :meth:`_update_entry_rates` + :meth:`_update_power` with the
+        communication terms read from the aggregates (power-term
         summation runs vector-then-tensor, which is bitwise-commutative
         with any two-term order), touching each entry once per cohort
         instead of once per event.
 
         Returned as a closure and installed as the instance's
         ``_recompute_gpu_fused`` at the end of ``__init__``: this is
-        the hottest function in the batched tier, and binding the
+        the hottest function in the fast tier, and binding the
         identity-stable state (arrays, sets, dicts, model constants)
         as closure cells removes ~30 ``self._x`` attribute walks per
         call. Only the rebound scalars ``self.time`` / ``self._cum_dt``
@@ -2356,7 +2109,7 @@ class BatchedSimulator(FastSimulator):
                 + hbm_max * hbm_frac
                 + link_max * link_frac
             )
-            # Publish (shared _commit_power semantics) + segment roll.
+            # Publish, re-arm a blocked tick, roll the power segment.
             power_now[gpu_index] = power
             if blocked and gpu_index in blocked:
                 blocked.remove(gpu_index)
@@ -2562,147 +2315,11 @@ class BatchedSimulator(FastSimulator):
             )
 
 
-class AutoSimulator(BatchedSimulator):
-    """Adaptive engine: bit-exact start, one flip to the batched path.
-
-    Runs the exact incremental discipline — replay banking, per-event
-    dispatch, exact resident-set recompute, non-adaptive governor
-    cadence — until the queue's live event population reaches
-    ``SimConfig.auto_tier_threshold``, then banks all progress exactly
-    and switches every dispatch to :class:`BatchedSimulator`'s cohort
-    path for the remainder of the run. Runs that never reach the
-    threshold are bit-identical to the exact tier (the equivalence
-    suite pins this); runs that flip carry the fast tier's bounded
-    relative error only from the flip point on.
-
-    The fast tier's aggregate bookkeeping runs from the start (it is
-    state-only and by construction consistent with the exact reduction
-    inputs), so the aggregates are warm the moment the engine flips.
-    """
-
-    def __init__(
-        self,
-        node: NodeSpec,
-        tasks: Sequence[Task],
-        config: Optional[SimConfig] = None,
-        cost_model: Optional[CollectiveCostModel] = None,
-        prepared: Optional[PreparedSim] = None,
-    ):
-        super().__init__(
-            node, tasks, config, cost_model=cost_model, prepared=prepared
-        )
-        self._flipped = False
-        # Pre-flip execution is bit-exact: replay banking plus the
-        # non-adaptive governor cadence.
-        self._adaptive = False
-
-    # Pre/post-flip dispatch. Pre-flip the replay log must be fed and
-    # consulted; post-flip the O(1) cumulative banking takes over.
-
-    def _advance_to(self, t: float) -> None:
-        time = self.time
-        if t > time:
-            dt = t - time
-            self._cum_dt += dt
-            if not self._flipped:
-                self._dts.append(dt)
-            self.time = t
-        elif t < time - 1e-12:
-            raise SimulationError("event time went backwards")
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        if self._flipped:
-            BatchedSimulator._bank_entry(self, entry)
-        else:
-            IncrementalSimulator._bank_entry(self, entry)
-
-    def _bank_instance(self, inst: CollectiveInstance) -> None:
-        if self._flipped:
-            BatchedSimulator._bank_instance(self, inst)
-        else:
-            IncrementalSimulator._bank_instance(self, inst)
-
-    def _recompute(self) -> None:
-        if self._flipped:
-            BatchedSimulator._recompute(self)
-        else:
-            IncrementalSimulator._recompute(self)
-
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        # Reached only pre-flip (via IncrementalSimulator._recompute):
-        # the exact resident-set reduction, not the aggregate path.
-        IncrementalSimulator._recompute_dirty_gpu(self, gpu_index)
-
-    def _event_loop(self) -> None:
-        config = self.config
-        threshold = config.auto_tier_threshold
-        max_time = config.max_sim_time_s
-        total = len(self.tasks)
-        done = self.done
-        stats = self.stats
-        queue = self.queue
-        while len(done) < total:
-            if queue.live_count >= threshold:
-                self._flip()
-                BatchedSimulator._event_loop(self)
-                return
-            # Exact per-event dispatch, mirroring Simulator.run.
-            event = queue.pop_live()
-            if event is None:
-                raise DeadlockError(self._deadlock_report())
-            if event.time > max_time:
-                raise SimulationError(
-                    f"simulation exceeded {max_time}s"
-                )
-            stats.events += 1
-            self._advance_to(event.time)
-            kind = event.kind
-            if kind is _TASK_FINISH:
-                self._finish_compute(event.payload)
-            elif kind is _COLLECTIVE_FINISH:
-                self._finish_collective(event.payload)
-            elif kind is _PERTURB_BEGIN:
-                self._apply_perturb(event.payload, True)
-            elif kind is _PERTURB_END:
-                self._apply_perturb(event.payload, False)
-            else:
-                self._governor_tick(event.payload)
-            if len(done) >= total:
-                break
-            self._try_launch()
-            self._recompute()
-            self._ensure_ticks()
-
-    def _flip(self) -> None:
-        """Bank all in-flight progress exactly, then go batched.
-
-        The exact replay runs one last time so the flip point carries
-        zero banking error; from here on every dispatch override takes
-        the ``_flipped`` branch.
-        """
-        for entry in self.running.values():
-            IncrementalSimulator._bank_entry(self, entry)
-        for inst in self.instances.values():
-            if inst.active:
-                IncrementalSimulator._bank_instance(self, inst)
-        cum = self._cum_dt
-        for entry in self.running.values():
-            entry.bank_cum = cum
-        for inst in self.instances.values():
-            inst.bank_cum = cum
-        self._dts.clear()
-        self._flipped = True
-        self._adaptive = self.config.adaptive_governor
-        self.stats.auto_flips += 1
-
-
-#: Engine class per accuracy tier (see :mod:`repro.sim.config`).
-_ENGINE_TIERS = {
+#: Engine class per ``SimConfig.engine`` value.
+_ENGINES = {
     "reference": Simulator,
-    "incremental": IncrementalSimulator,
+    "exact": IncrementalSimulator,
     "fast": FastSimulator,
-    "batched": BatchedSimulator,
-    "auto": AutoSimulator,
 }
 
 
@@ -2713,28 +2330,10 @@ def make_simulator(
     cost_model: Optional[CollectiveCostModel] = None,
     prepared: Optional[PreparedSim] = None,
 ) -> Simulator:
-    """Build the engine ``config`` selects (incremental by default).
-
-    ``reference_engine`` wins (the correctness oracle), then
-    ``auto_tier_threshold`` picks the adaptive auto engine,
-    ``fast_contention`` + ``cohort_batching`` the cohort-batched fast
-    tier, ``fast_contention`` alone the unbatched fast tier;
-    everything else runs the bit-exact incremental engine. The event
-    queue backend and the adaptive governor cadence are orthogonal
-    knobs read by all engines from the config itself.
-    """
+    """Build the engine ``config.engine`` selects (exact by default)."""
     if config is None:
         config = SimConfig()
-    if config.reference_engine:
-        cls = _ENGINE_TIERS["reference"]
-    elif config.auto_tier_threshold is not None:
-        cls = _ENGINE_TIERS["auto"]
-    elif config.fast_contention and config.cohort_batching:
-        cls = _ENGINE_TIERS["batched"]
-    elif config.fast_contention:
-        cls = _ENGINE_TIERS["fast"]
-    else:
-        cls = _ENGINE_TIERS["incremental"]
+    cls = _ENGINES[config.engine]
     return cls(node, tasks, config, cost_model=cost_model, prepared=prepared)
 
 

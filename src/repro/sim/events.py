@@ -1,38 +1,21 @@
-"""Event queues for the discrete-event engine.
+"""The engine's event queue.
 
-Two storage backends share one versioned *lazy invalidation* surface:
-
-* :class:`EventQueue` — a binary heap (the default). Rescheduling a
-  finish event does not remove the superseded copy; every
-  ``(kind, payload)`` pair carries a version counter,
-  :meth:`~EventQueue.schedule` bumps it and tags the new event, and
-  :meth:`~EventQueue.pop_live` silently drops tombstoned copies
-  (events whose version has since been superseded) on the way out.
-  This turns the engine's rescheduling churn from O(heap) removals
-  into O(1) bumps, at the cost of dead entries in storage — which
-  :meth:`~EventQueue.compact` reclaims once they outnumber the live
-  ones.
-* :class:`CalendarEventQueue` — a bucketed calendar queue (Brown's
-  classic discrete-event structure): events hash into fixed-width
-  time buckets, and the head is found by scanning bucket indices in
-  order instead of sifting one global heap. The engine keys the
-  bucket width to the governor period, which is the natural spacing
-  of its event population (ticks land one period ahead; finish events
-  cluster within a few periods). Pops come out in exactly the heap's
-  (time, insertion order) sequence — bucket partitioning by
-  ``floor(time / width)`` is monotone in time, so the two backends
-  are bit-for-bit interchangeable and the engine equivalence suite
-  pins that.
+:class:`EventQueue` is a binary heap with versioned *lazy
+invalidation*. Rescheduling a finish event does not remove the
+superseded copy; every ``(kind, payload)`` pair carries a version
+counter, :meth:`~EventQueue.schedule` bumps it and tags the new event,
+and :meth:`~EventQueue.pop_live` silently drops tombstoned copies
+(events whose version has since been superseded) on the way out. This
+turns the engine's rescheduling churn from O(heap) removals into O(1)
+bumps, at the cost of dead entries in storage — which
+:meth:`~EventQueue.compact` reclaims once they outnumber the live ones.
 
 Per-key bookkeeping lives in one *cell* ``[version, copies, live]``
 per ``(kind, payload)`` key — one dict lookup per schedule and per
-pop where three parallel structures (version table, live-key set,
-copy counts) used to cost three. The cells stay exact: the tombstone
-count (``live_count`` is always ``len(queue) - tombstones``) and the
-cell table, which is pruned as soon as the last copy of a key leaves
-storage (versions only need to stay monotonic while a stale copy
-could still be popped). ``_versions`` / ``_live_keys`` /
-``_key_copies`` remain available as derived views.
+pop. The cells stay exact: the tombstone count (``live_count`` is
+always ``len(queue) - tombstones``) and the cell table, which is
+pruned as soon as the last copy of a key leaves storage (versions only
+need to stay monotonic while a stale copy could still be popped).
 """
 
 from __future__ import annotations
@@ -40,11 +23,11 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.errors import SimulationError
 
-#: Auto-compaction threshold: ``pop_live`` rebuilds storage once it
+#: Auto-compaction threshold: the pops rebuild storage once it
 #: holds at least this many events and more than half are tombstones.
 #: An *explicit* :meth:`EventQueue.compact` call always rebuilds.
 _COMPACT_MIN_SIZE = 64
@@ -52,9 +35,6 @@ _COMPACT_MIN_SIZE = 64
 #: Hot-path alias; ``0.0 <= t < _INF`` is the fast-path validity test
 #: (NaN fails both comparisons and falls through to the slow path).
 _INF = float("inf")
-
-#: Default calendar bucket width when no governor period is supplied.
-_DEFAULT_BUCKET_WIDTH_S = 2e-3
 
 
 class EventKind(enum.Enum):
@@ -78,9 +58,9 @@ class EventKind(enum.Enum):
 class Event(NamedTuple):
     """One scheduled occurrence.
 
-    ``epoch`` supports lazy invalidation: finish events carry the
-    version of their ``(kind, payload)`` key at scheduling time and are
-    dropped on pop if the version has since advanced (i.e. the finish
+    ``epoch`` supports lazy invalidation: every event carries the
+    version of its ``(kind, payload)`` key at scheduling time and is
+    dropped on pop if the version has since advanced (i.e. the event
     was rescheduled or cancelled).
 
     A named tuple rather than a (frozen) dataclass: the engine creates
@@ -102,130 +82,28 @@ _LIVE = 2
 
 
 class EventQueue:
-    """A stable min-queue of events keyed by (time, insertion order).
+    """A stable min-queue of versioned events keyed by (time, insertion
+    order).
 
-    Two usage levels:
-
-    * :meth:`push` / :meth:`pop` — the raw FIFO-stable queue; events
-      are returned exactly as pushed. For unversioned keys only:
-      pushing a raw event onto a key that :meth:`schedule` manages
-      would corrupt the tombstone accounting, so it is rejected (and
-      so is the reverse — versioning a key that has raw copies
-      outstanding).
-    * :meth:`schedule` / :meth:`cancel` / :meth:`pop_live` — versioned
-      events with lazy invalidation (the engine uses this for finish
-      events *and* governor ticks); superseded copies are tombstones
-      that ``pop_live`` drops and ``compact`` reclaims.
-
-    Subclasses provide a different physical storage by overriding the
-    ``_store_*`` primitives; all versioned bookkeeping lives here.
+    :meth:`schedule` / :meth:`cancel` / :meth:`pop_live` /
+    :meth:`pop_live_cohort` — the engine uses this for finish events,
+    governor ticks and perturbation boundaries alike; superseded
+    copies are tombstones that the pops drop and ``compact`` reclaims.
     """
 
     def __init__(self) -> None:
         self._counter = itertools.count()
+        self._heap: List[Tuple[float, int, Event]] = []
         #: Per-key bookkeeping cell ``[version, copies, live]``:
-        #: ``version`` is None for raw push() keys and the current
-        #: version for schedule()-managed keys; ``copies`` counts
-        #: events (live, stale or raw) currently in storage; ``live``
-        #: is True while the current version still has a copy in
-        #: storage. A cell is pruned when its last copy leaves storage.
+        #: ``version`` is the key's current version; ``copies`` counts
+        #: events (live or stale) currently in storage; ``live`` is
+        #: True while the current version still has a copy in storage.
+        #: A cell is pruned when its last copy leaves storage.
         self._cells: Dict[Tuple[EventKind, Any], list] = {}
         #: Exact number of tombstoned events currently in storage.
         self._tombstones = 0
         #: Total tombstones dropped over the queue's lifetime.
         self.stale_dropped = 0
-        self._store_init()
-
-    # ------------------------------------------------------------------
-    # derived views of the cell table (kept for tests and debugging —
-    # these were the three parallel structures the cells replaced)
-    # ------------------------------------------------------------------
-
-    @property
-    def _versions(self) -> Dict[Tuple[EventKind, Any], int]:
-        """Current version per schedule()-managed key (derived view)."""
-        return {
-            key: cell[_VERSION]
-            for key, cell in self._cells.items()
-            if cell[_VERSION] is not None
-        }
-
-    @property
-    def _live_keys(self) -> set:
-        """Keys whose current version is still in storage (derived)."""
-        return {key for key, cell in self._cells.items() if cell[_LIVE]}
-
-    @property
-    def _key_copies(self) -> Dict[Tuple[EventKind, Any], int]:
-        """Copies (live, stale or raw) per key in storage (derived)."""
-        return {
-            key: cell[_COPIES]
-            for key, cell in self._cells.items()
-            if cell[_COPIES]
-        }
-
-    # ------------------------------------------------------------------
-    # storage primitives (binary heap; overridden by CalendarEventQueue)
-    # ------------------------------------------------------------------
-
-    def _store_init(self) -> None:
-        self._heap: list = []
-
-    def _store_push(self, item: Tuple[float, int, Event]) -> None:
-        heapq.heappush(self._heap, item)
-
-    def _store_pop(self) -> Optional[Tuple[float, int, Event]]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)
-
-    def _store_peek(self) -> Optional[Tuple[float, int, Event]]:
-        if not self._heap:
-            return None
-        return self._heap[0]
-
-    def _store_pop_if_time(
-        self, time: float
-    ) -> Optional[Tuple[float, int, Event]]:
-        """Pop the head only if it is scheduled exactly at ``time``.
-
-        One storage walk instead of a peek followed by a pop — the
-        cohort drain calls this once per cohort event.
-        """
-        heap = self._heap
-        if not heap or heap[0][0] != time:
-            return None
-        return heapq.heappop(heap)
-
-    def _store_len(self) -> int:
-        return len(self._heap)
-
-    def _store_items(self) -> Iterable[Tuple[float, int, Event]]:
-        return self._heap
-
-    def _store_rebuild(self, items: List[Tuple[float, int, Event]]) -> None:
-        """Replace storage contents, preserving (time, counter) order."""
-        heapq.heapify(items)
-        self._heap = items
-
-    # ------------------------------------------------------------------
-    # raw interface
-    # ------------------------------------------------------------------
-
-    def push(self, event: Event) -> None:
-        """Schedule a raw event; times must be finite and non-negative.
-
-        Rejects keys already managed by :meth:`schedule` — a raw copy
-        there would silently read as a tombstone and skew the exact
-        tombstone count that drives compaction.
-        """
-        cell = self._cells.get((event.kind, event.payload))
-        if cell is not None and cell[_VERSION] is not None:
-            raise SimulationError(
-                f"event key ({event.kind}, {event.payload!r}) is "
-                f"version-managed; use schedule() instead of push()"
-            )
-        self._push(event)
 
     @staticmethod
     def _validate_time(time: float, kind: EventKind) -> None:
@@ -236,25 +114,6 @@ class EventQueue:
         if time == float("inf"):
             raise SimulationError(f"event {kind} scheduled at infinity")
 
-    def _push(self, event: Event) -> None:
-        self._validate_time(event.time, event.kind)
-        self._push_validated(event)
-
-    def _push_validated(self, event: Event) -> None:
-        """Storage insert for a time :meth:`_validate_time` already saw.
-
-        :meth:`schedule` validates before touching any bookkeeping and
-        then skips the recheck — one validation per event, not two, on
-        the engine's hottest call.
-        """
-        key = (event.kind, event.payload)
-        cell = self._cells.get(key)
-        if cell is None:
-            self._cells[key] = [None, 1, False]
-        else:
-            cell[_COPIES] += 1
-        self._store_push((event.time, next(self._counter), event))
-
     def _note_removed(self, event: Event) -> bool:
         """Book-keep one copy leaving storage; True if it was stale.
 
@@ -262,11 +121,10 @@ class EventQueue:
         the key is not live, prunes its cell — versions only need to
         stay monotonic while a stale copy could still surface.
         """
-        key = (event.kind, event.payload)
+        key = (event[1], event[2])
         cells = self._cells
         cell = cells[key]
-        version = cell[_VERSION]
-        if version is not None and event.epoch != version:
+        if event[3] != cell[_VERSION]:
             self._tombstones -= 1
             stale = True
         else:
@@ -277,44 +135,8 @@ class EventQueue:
             del cells[key]
         return stale
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest event, or None if empty.
-
-        Tombstoned events are returned too — callers that schedule via
-        :meth:`schedule` should use :meth:`pop_live` instead.
-        """
-        item = self._store_pop()
-        if item is None:
-            return None
-        event = item[2]
-        self._note_removed(event)
-        return event
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest *live* event without removing it.
-
-        Stale heads (tombstoned copies that happen to sort first) are
-        dropped on the way, so the returned wake-up time is never one
-        a supersession already invalidated.
-        """
-        while True:
-            item = self._store_peek()
-            if item is None:
-                return None
-            event = item[2]
-            if self._is_stale(event):
-                self._store_pop()
-                self._note_removed(event)
-                self.stale_dropped += 1
-                continue
-            return item[0]
-
-    # ------------------------------------------------------------------
-    # versioned interface (lazy invalidation)
-    # ------------------------------------------------------------------
-
     def schedule(self, time: float, kind: EventKind, payload: Any) -> Event:
-        """(Re)schedule the finish event for ``(kind, payload)``.
+        """(Re)schedule the event for ``(kind, payload)``.
 
         Any previously scheduled copy becomes a tombstone; there is at
         most one live event per key at any moment.
@@ -330,14 +152,7 @@ class EventQueue:
             version = 1
             cells[key] = [1, 1, True]
         else:
-            version = cell[_VERSION]
-            if version is None:
-                raise SimulationError(
-                    f"event key ({kind}, {payload!r}) has raw push() "
-                    f"copies outstanding; it cannot become "
-                    f"version-managed"
-                )
-            version += 1
+            version = cell[_VERSION] + 1
             cell[_VERSION] = version
             if cell[_LIVE]:
                 self._tombstones += 1
@@ -347,7 +162,7 @@ class EventQueue:
         # tuple.__new__ directly: NamedTuple's generated __new__ is an
         # extra python frame per event on the engine's hottest call.
         event = tuple.__new__(Event, (time, kind, payload, version))
-        self._store_push((time, next(self._counter), event))
+        heapq.heappush(self._heap, (time, next(self._counter), event))
         return event
 
     def cancel(self, kind: EventKind, payload: Any) -> None:
@@ -362,40 +177,38 @@ class EventQueue:
         """
         cell = self._cells.get((kind, payload))
         if cell is not None and cell[_LIVE]:
-            cell[_VERSION] = (cell[_VERSION] or 0) + 1
+            cell[_VERSION] += 1
             cell[_LIVE] = False
             self._tombstones += 1
 
     def _is_stale(self, event: Event) -> bool:
         cell = self._cells.get((event.kind, event.payload))
-        return (
-            cell is not None
-            and cell[_VERSION] is not None
-            and event.epoch != cell[_VERSION]
-        )
+        return cell is not None and event.epoch != cell[_VERSION]
+
+    def _maybe_compact(self) -> None:
+        size = len(self._heap)
+        if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
+            self.compact()
 
     def pop_live(self) -> Optional[Event]:
         """Earliest non-tombstoned event, or None when none remain."""
-        while True:
-            item = self._store_pop()
-            if item is None:
-                return None
-            event = item[2]
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
             if self._note_removed(event):
                 self.stale_dropped += 1
                 continue
-            size = self._store_len()
-            if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
-                self.compact()
+            self._maybe_compact()
             return event
+        return None
 
     def pop_live_cohort(
         self, out: Optional[List[Event]] = None
     ) -> Optional[List[Event]]:
         """Every live event sharing the earliest timestamp, or None.
 
-        The cohort-batched engine processes all state deltas landing on
-        one timestamp together and re-evaluates rates/power once. Only
+        The fast engine processes all state deltas landing on one
+        timestamp together and re-evaluates rates/power once. Only
         *exactly equal* float times share a cohort — no epsilon — so
         the pop order (time, then FIFO within a time) is precisely the
         order repeated :meth:`pop_live` calls would produce. Stale
@@ -410,24 +223,21 @@ class EventQueue:
         # engine cohort and the call/tuple overhead is measurable. The
         # bookkeeping must stay line-for-line equivalent to it.
         cells = self._cells
-        store_pop = self._store_pop
+        heap = self._heap
+        heappop = heapq.heappop
         first: Optional[Event] = None
-        while True:
-            item = store_pop()
-            if item is None:
-                break
-            event = item[2]
+        while heap:
+            event = heappop(heap)[2]
             key = (event[1], event[2])
             cell = cells[key]
-            version = cell[_VERSION]
-            if version is not None and event[3] != version:
+            if event[3] != cell[0]:
                 self._tombstones -= 1
                 stale = True
             else:
-                cell[_LIVE] = False
+                cell[2] = False
                 stale = False
-            cell[_COPIES] -= 1
-            if cell[_COPIES] <= 0 and not cell[_LIVE]:
+            cell[1] -= 1
+            if cell[1] <= 0 and not cell[2]:
                 del cells[key]
             if stale:
                 self.stale_dropped += 1
@@ -443,31 +253,24 @@ class EventQueue:
             out.append(first)
             cohort = out
         time = first[0]
-        store_pop_if_time = self._store_pop_if_time
-        while True:
-            item = store_pop_if_time(time)
-            if item is None:
-                break
-            event = item[2]
+        while heap and heap[0][0] == time:
+            event = heappop(heap)[2]
             key = (event[1], event[2])
             cell = cells[key]
-            version = cell[_VERSION]
-            if version is not None and event[3] != version:
+            if event[3] != cell[0]:
                 self._tombstones -= 1
                 stale = True
             else:
-                cell[_LIVE] = False
+                cell[2] = False
                 stale = False
-            cell[_COPIES] -= 1
-            if cell[_COPIES] <= 0 and not cell[_LIVE]:
+            cell[1] -= 1
+            if cell[1] <= 0 and not cell[2]:
                 del cells[key]
             if stale:
                 self.stale_dropped += 1
                 continue
             cohort.append(event)
-        size = self._store_len()
-        if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
-            self.compact()
+        self._maybe_compact()
         return cohort
 
     def compact(self) -> None:
@@ -476,318 +279,64 @@ class EventQueue:
         The (time, counter) tuples are retained, so the relative order
         of the surviving events — including same-time ties — is exactly
         what it was before compaction. Unlike the automatic compaction
-        ``pop_live`` triggers (which is threshold-gated), an explicit
-        call always rebuilds, so ``len(queue)`` equals ``live_count``
+        the pops trigger (which is threshold-gated), an explicit call
+        always rebuilds, so ``len(queue)`` equals ``live_count``
         afterwards no matter how small the queue is.
         """
         kept: List[Tuple[float, int, Event]] = []
-        for item in self._store_items():
+        for item in self._heap:
             event = item[2]
             if self._is_stale(event):
                 self._note_removed(event)
                 self.stale_dropped += 1
             else:
                 kept.append(item)
-        self._store_rebuild(kept)
+        heapq.heapify(kept)
+        self._heap = kept
 
     @property
     def live_count(self) -> int:
         """Number of non-tombstoned events currently queued."""
-        return self._store_len() - self._tombstones
+        return len(self._heap) - self._tombstones
 
     def check_invariants(self) -> None:
         """Assert the bookkeeping matches storage exactly (test hook).
 
-        O(n); verifies the tombstone count, the per-key cells (via the
-        derived views) and that no cell survives with no copies left
-        in storage.
+        O(n); verifies the tombstone count, the per-key cells against
+        the events actually in storage, and that no cell survives with
+        no copies left in storage.
         """
-        items = list(self._store_items())
-        stale = sum(1 for item in items if self._is_stale(item[2]))
+        events = [item[2] for item in self._heap]
+        stale = sum(1 for event in events if self._is_stale(event))
         if self._tombstones != stale:
             raise AssertionError(
                 f"tombstone count {self._tombstones} != {stale} stale "
                 f"events in storage"
             )
-        versions = self._versions
-        live = {
-            (item[2].kind, item[2].payload)
-            for item in items
-            if (item[2].kind, item[2].payload) in versions
-            and not self._is_stale(item[2])
-        }
-        if live != self._live_keys:
-            raise AssertionError(
-                f"live keys {self._live_keys!r} != storage live {live!r}"
-            )
         copies: Dict[Tuple[EventKind, Any], int] = {}
-        for item in items:
-            key = (item[2].kind, item[2].payload)
+        live = set()
+        for event in events:
+            key = (event.kind, event.payload)
             copies[key] = copies.get(key, 0) + 1
-        if copies != self._key_copies:
+            if not self._is_stale(event):
+                live.add(key)
+        cells = self._cells
+        if set(cells) != set(copies):
             raise AssertionError(
-                f"copy counts {self._key_copies!r} != storage {copies!r}"
+                f"cell keys {sorted(map(repr, cells))} != storage keys "
+                f"{sorted(map(repr, copies))}"
             )
-        orphaned = set(versions) - set(copies)
-        if orphaned:
-            raise AssertionError(
-                f"version entries without storage copies: {orphaned!r}"
-            )
-        leaked = [
-            key
-            for key, cell in self._cells.items()
-            if cell[_COPIES] <= 0 and not cell[_LIVE]
-        ]
-        if leaked:
-            raise AssertionError(
-                f"cells with no copies and no live event: {leaked!r}"
-            )
-        if self.live_count != len(items) - stale:
-            raise AssertionError("live_count disagrees with storage")
+        for key, cell in cells.items():
+            if cell[_COPIES] != copies[key]:
+                raise AssertionError(
+                    f"{key!r}: {cell[_COPIES]} copies booked, "
+                    f"{copies[key]} in storage"
+                )
+            if cell[_LIVE] != (key in live):
+                raise AssertionError(f"{key!r}: live flag disagrees")
 
     def __len__(self) -> int:
-        return self._store_len()
+        return len(self._heap)
 
     def __bool__(self) -> bool:
-        return self._store_len() > 0
-
-
-class CalendarEventQueue(EventQueue):
-    """Calendar-queue storage behind the :class:`EventQueue` surface.
-
-    Events land in the bucket ``floor(time / bucket_width)``; each
-    bucket is a small heap, and a second heap over the non-empty
-    bucket indices finds the head. Because the index partition is
-    monotone in time, the global pop order is identical to the binary
-    heap's — same times, same FIFO tie-breaks — while pushes and pops
-    only ever sift within one bucket's (usually tiny) population.
-    """
-
-    def __init__(self, bucket_width_s: float = _DEFAULT_BUCKET_WIDTH_S):
-        if not (bucket_width_s > 0.0) or bucket_width_s == float("inf"):
-            raise SimulationError(
-                f"calendar bucket width must be positive and finite, "
-                f"got {bucket_width_s!r}"
-            )
-        self.bucket_width_s = bucket_width_s
-        super().__init__()
-
-    def _store_init(self) -> None:
-        self._buckets: Dict[int, List[Tuple[float, int, Event]]] = {}
-        #: Min-heap of (possibly stale) non-empty bucket indices.
-        self._order: List[int] = []
-        self._queued: set = set()
-        self._count = 0
-
-    def _store_push(self, item: Tuple[float, int, Event]) -> None:
-        index = int(item[0] / self.bucket_width_s)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            self._buckets[index] = bucket = []
-        heapq.heappush(bucket, item)
-        if index not in self._queued:
-            self._queued.add(index)
-            heapq.heappush(self._order, index)
-        self._count += 1
-
-    def _head_bucket(self) -> Optional[List[Tuple[float, int, Event]]]:
-        """First non-empty bucket, dropping exhausted index entries."""
-        while self._order:
-            index = self._order[0]
-            bucket = self._buckets.get(index)
-            if bucket:
-                return bucket
-            heapq.heappop(self._order)
-            self._queued.discard(index)
-            self._buckets.pop(index, None)
-        return None
-
-    def _store_pop(self) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None:
-            return None
-        item = heapq.heappop(bucket)
-        self._count -= 1
-        return item
-
-    def _store_peek(self) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None:
-            return None
-        return bucket[0]
-
-    def _store_pop_if_time(
-        self, time: float
-    ) -> Optional[Tuple[float, int, Event]]:
-        bucket = self._head_bucket()
-        if bucket is None or bucket[0][0] != time:
-            return None
-        item = heapq.heappop(bucket)
-        self._count -= 1
-        return item
-
-    def _store_len(self) -> int:
-        return self._count
-
-    def _store_items(self) -> Iterable[Tuple[float, int, Event]]:
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def _store_rebuild(self, items: List[Tuple[float, int, Event]]) -> None:
-        self._store_init()
-        for item in items:
-            self._store_push(item)
-
-    # ------------------------------------------------------------------
-    # hot-path specializations
-    #
-    # The two methods below re-state their EventQueue versions with the
-    # _store_* indirection inlined: the batched engine funnels every
-    # (re)schedule and every cohort pop through them, and the dispatch
-    # frames alone are measurable at that call rate. The bookkeeping
-    # must stay line-for-line equivalent to the base methods (and to
-    # _note_removed); keep them in sync when touching either side.
-    # ------------------------------------------------------------------
-
-    def schedule(self, time: float, kind: EventKind, payload: Any) -> Event:
-        if not (0.0 <= time < _INF):
-            self._validate_time(time, kind)
-        key = (kind, payload)
-        cells = self._cells
-        cell = cells.get(key)
-        if cell is None:
-            version = 1
-            cells[key] = [1, 1, True]
-        else:
-            version = cell[0]
-            if version is None:
-                raise SimulationError(
-                    f"event key ({kind}, {payload!r}) has raw push() "
-                    f"copies outstanding; it cannot become "
-                    f"version-managed"
-                )
-            version += 1
-            cell[0] = version
-            if cell[2]:
-                self._tombstones += 1
-            else:
-                cell[2] = True
-            cell[1] += 1
-        event = tuple.__new__(Event, (time, kind, payload, version))
-        # _store_push, inlined. The bucket index formula must match it
-        # exactly (raw push() copies land via the base method).
-        index = int(time / self.bucket_width_s)
-        buckets = self._buckets
-        bucket = buckets.get(index)
-        if bucket is None:
-            buckets[index] = bucket = []
-        heapq.heappush(bucket, (time, next(self._counter), event))
-        queued = self._queued
-        if index not in queued:
-            queued.add(index)
-            heapq.heappush(self._order, index)
-        self._count += 1
-        return event
-
-    def pop_live_cohort(
-        self, out: Optional[List[Event]] = None
-    ) -> Optional[List[Event]]:
-        cells = self._cells
-        buckets = self._buckets
-        order = self._order
-        heappop = heapq.heappop
-        first: Optional[Event] = None
-        bucket: Optional[List[Tuple[float, int, Event]]] = None
-        while True:
-            # _head_bucket + _store_pop, inlined.
-            bucket = None
-            while order:
-                index = order[0]
-                bucket = buckets.get(index)
-                if bucket:
-                    break
-                heappop(order)
-                self._queued.discard(index)
-                buckets.pop(index, None)
-            if not bucket:
-                break
-            event = heappop(bucket)[2]
-            self._count -= 1
-            # _note_removed, inlined.
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[0]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[2] = False
-                stale = False
-            cell[1] -= 1
-            if cell[1] <= 0 and not cell[2]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            first = event
-            break
-        if first is None:
-            return None
-        if out is None:
-            cohort = [first]
-        else:
-            out.clear()
-            out.append(first)
-            cohort = out
-        time = first[0]
-        # Equal floats always share a bucket index, so the same-time
-        # drain never has to look past the bucket the head came from.
-        while bucket and bucket[0][0] == time:
-            event = heappop(bucket)[2]
-            self._count -= 1
-            key = (event[1], event[2])
-            cell = cells[key]
-            version = cell[0]
-            if version is not None and event[3] != version:
-                self._tombstones -= 1
-                stale = True
-            else:
-                cell[2] = False
-                stale = False
-            cell[1] -= 1
-            if cell[1] <= 0 and not cell[2]:
-                del cells[key]
-            if stale:
-                self.stale_dropped += 1
-                continue
-            cohort.append(event)
-        size = self._count
-        if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
-            self.compact()
-        return cohort
-
-
-#: Valid ``SimConfig.event_queue`` selectors.
-EVENT_QUEUE_KINDS = ("heap", "calendar")
-
-
-def make_event_queue(
-    kind: str = "heap",
-    bucket_width_s: Optional[float] = None,
-) -> EventQueue:
-    """Build the configured queue backend.
-
-    ``bucket_width_s`` only matters for the calendar backend; the
-    engine passes its governor period, which matches the natural
-    spacing of the simulation's event population.
-    """
-    if kind == "heap":
-        return EventQueue()
-    if kind == "calendar":
-        if bucket_width_s is None:
-            bucket_width_s = _DEFAULT_BUCKET_WIDTH_S
-        return CalendarEventQueue(bucket_width_s)
-    raise SimulationError(
-        f"unknown event queue kind {kind!r} "
-        f"(known: {', '.join(EVENT_QUEUE_KINDS)})"
-    )
+        return bool(self._heap)

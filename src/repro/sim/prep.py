@@ -32,7 +32,7 @@ isolation property directly.
 
 The module also owns :class:`RunArena`, a small per-thread pool for
 the *mutable* per-run containers (per-GPU resident-set dicts, the
-batched tier's SoA columns) so back-to-back runs reuse allocations
+fast tier's SoA columns) so back-to-back runs reuse allocations
 instead of building fresh dicts per cell.
 """
 
@@ -209,10 +209,10 @@ class PreparedSim:
     spin_scale: float
     interference: float
     stall_frac: float
-    #: Power coefficients for the batched tier's fused evaluation;
-    #: ``missing_paths`` defers the batched tier's coefficient check
+    #: Power coefficients for the fast tier's fused evaluation;
+    #: ``missing_paths`` defers the fast tier's coefficient check
     #: to construction time so the exact tiers keep accepting specs
-    #: the batched tier would reject.
+    #: the fast tier would reject.
     vec_max: float
     ten_max: float
     idle_frac: float
@@ -482,7 +482,7 @@ class RunArena:
     """Per-thread pool of the engines' per-run mutable containers.
 
     A grid sweep constructs thousands of simulators back to back; the
-    per-GPU resident-set dicts and the batched tier's SoA columns are
+    per-GPU resident-set dicts and the fast tier's SoA columns are
     identical in shape every time. The arena hands them out cleared
     (or value-reset, for the SoA store) and takes them back at
     ``_finalize``, so steady-state runs allocate none of them.

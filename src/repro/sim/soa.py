@@ -1,4 +1,4 @@
-"""Struct-of-arrays backing store for the batched fast tier.
+"""Struct-of-arrays backing store for the fast engine tier.
 
 The cohort-batched engine keeps its per-GPU hot state — clock
 fraction, last published power, and the additive contention

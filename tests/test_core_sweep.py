@@ -4,14 +4,19 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.core.sweep import feasible_rows, run_grid, summarize_slowdowns
+from repro.core.sweep import (
+    feasible_rows,
+    grid_spec_from_args,
+    summarize_slowdowns,
+)
+from repro.scenario import run_spec
 
 MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
 
 
 @pytest.fixture(scope="module")
 def grid():
-    return run_grid(
+    spec = grid_spec_from_args(
         gpus=("A100",),
         models=("gpt3-xl", "gpt3-13b"),
         batch_sizes=(8,),
@@ -21,6 +26,7 @@ def grid():
         ),
         modes=MODES,
     )
+    return run_spec(spec)
 
 
 def test_grid_covers_every_cell(grid):

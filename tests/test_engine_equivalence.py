@@ -1,18 +1,17 @@
 """Engine accuracy tiers: bit-exact equivalence + the tolerance tier.
 
-The incremental engine's whole contract is that skipping the clean
-(non-dirty) parts of the recompute cannot change anything: records,
-power segments, end time and minimum clock must be *exactly* equal —
-no tolerances — to the full-recompute reference path, under jitter,
-power capping, aggressive governor ticking and ideal mode alike. The
-calendar event queue is part of that bit-exact contract (it pops the
-same event sequence as the heap).
+The exact (incremental) engine's whole contract is that skipping the
+clean (non-dirty) parts of the recompute cannot change anything:
+records, power segments, end time and minimum clock must be *exactly*
+equal — no tolerances — to the full-recompute reference engine, under
+jitter, power capping, aggressive governor ticking and ideal mode
+alike.
 
-The *fast* tier (``SimConfig.fast()``: additive contention aggregates
-+ adaptive governor ticks + calendar queue) trades bit-exactness for
-throughput; its contract is bounded relative error, pinned here by a
-tolerance-gated version of the same property suite and real-plan
-cases.
+The *fast* tier (``SimConfig(engine="fast")``: additive contention
+aggregates, adaptive governor ticks, cohort batching and O(1)
+banking) trades bit-exactness for throughput; its contract is bounded
+relative error, pinned here by a tolerance-gated version of the same
+property suite and real-plan cases.
 """
 
 import dataclasses
@@ -26,8 +25,6 @@ from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
-    AutoSimulator,
-    BatchedSimulator,
     FastSimulator,
     IncrementalSimulator,
     Simulator,
@@ -62,7 +59,7 @@ COLLECTIVE_KINDS = [
 def _assert_identical(node, tasks, config):
     """Run both engines; everything observable must be exactly equal."""
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, tasks, dataclasses.replace(config, engine="reference")
     )
     inc = IncrementalSimulator(node, tasks, config)
     assert isinstance(
@@ -89,27 +86,21 @@ def _total_energy(result):
     )
 
 
-def _assert_close(
-    node, tasks, config, rel_tol, abs_floor_s=1e-9, fast_config=None
-):
-    """Reference (exact knobs) vs the fast tier: bounded relative error.
+def _assert_close(node, tasks, config, rel_tol, abs_floor_s=1e-9):
+    """Reference vs the fast tier: bounded relative error.
 
     The fast tier may reorder float accumulations and shift throttle
     onset by a control period, so equality is relative: end time,
     per-task start/end times, total energy and the minimum clock must
     all land within ``rel_tol`` of the reference (times against an
-    absolute floor for microsecond-scale programs). ``fast_config``
-    overrides the tolerance-tier config under test (default: the
-    plain fast tier), so the auto engine rides the same assertions.
+    absolute floor for microsecond-scale programs).
     """
     ref = Simulator(
         node,
         tasks,
-        dataclasses.replace(config, reference_engine=True),
+        dataclasses.replace(config, engine="reference"),
     )
-    if fast_config is None:
-        fast_config = config.fast()
-    fast = make_simulator(node, tasks, fast_config)
+    fast = make_simulator(node, tasks, config.fast())
     assert isinstance(fast, FastSimulator)
     a = ref.run()
     b = fast.run()
@@ -180,10 +171,6 @@ def random_plans(draw):
         # tiny programs, exercising the clock-dirty propagation path.
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
         trace_power=True,
-        # The calendar queue is part of the bit-exact contract: it must
-        # pop the heap's exact event sequence, so it rides the same
-        # no-tolerance suite.
-        event_queue=draw(st.sampled_from(["heap", "calendar"])),
     )
     return NODES[num_gpus], builder.build().tasks, config
 
@@ -240,7 +227,7 @@ def test_power_capped_real_plan_bit_identical():
     node = planner.node_for(cfg)
     plan = planner.plan_for(cfg, overlap=True)
     config = cfg.sim_config(seed=3)
-    assert not config.reference_engine
+    assert config.engine == "exact"
     result = _assert_identical(node, plan.tasks, config)
     # The cap must actually have throttled, or this test exercises
     # nothing clock-related.
@@ -280,7 +267,7 @@ def test_incremental_skips_unaffected_gpus():
     node = NODES[num_gpus]
     config = SimConfig(trace_power=False)
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, tasks, dataclasses.replace(config, engine="reference")
     )
     inc = IncrementalSimulator(node, tasks, config)
     a, b = ref.run(), inc.run()
@@ -292,7 +279,7 @@ def test_incremental_skips_unaffected_gpus():
 
 
 # ----------------------------------------------------------------------
-# calendar queue: bit-exact on real plans
+# fast tier: tolerance-gated equivalence
 # ----------------------------------------------------------------------
 
 
@@ -311,33 +298,6 @@ def _real_plan(strategy, num_gpus, power_limit_w=None):
     )
     planner = default_planner()
     return planner.node_for(cfg), planner.plan_for(cfg, overlap=True), cfg
-
-
-def test_calendar_queue_bit_identical_on_power_capped_plan():
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = dataclasses.replace(
-        cfg.sim_config(seed=3), event_queue="calendar"
-    )
-    result = _assert_identical(node, plan.tasks, config)
-    assert result.min_clock_frac_seen < 1.0
-
-
-def test_calendar_queue_matches_heap_queue_exactly():
-    """Same engine, different queue backend: identical results."""
-    node, plan, cfg = _real_plan("pipeline", 4)
-    base = cfg.sim_config(seed=1)
-    heap = IncrementalSimulator(node, plan.tasks, base).run()
-    calendar = IncrementalSimulator(
-        node, plan.tasks, dataclasses.replace(base, event_queue="calendar")
-    ).run()
-    assert heap.end_time_s == calendar.end_time_s
-    assert heap.records == calendar.records
-    assert heap.power_segments == calendar.power_segments
-
-
-# ----------------------------------------------------------------------
-# fast tier: tolerance-gated equivalence
-# ----------------------------------------------------------------------
 
 
 @settings(max_examples=20, deadline=None)
@@ -375,40 +335,18 @@ def test_make_simulator_tier_selection():
     node, plan, cfg = _real_plan("fsdp", 2)
     base = cfg.sim_config(seed=0)
     assert type(make_simulator(node, plan.tasks, base)) is IncrementalSimulator
-    assert (
-        type(
-            make_simulator(
-                node,
-                plan.tasks,
-                dataclasses.replace(base, reference_engine=True),
-            )
-        )
-        is Simulator
-    )
-    assert (
-        type(make_simulator(node, plan.tasks, base.fast()))
-        is BatchedSimulator
-    )
-    assert (
-        type(
-            make_simulator(
-                node,
-                plan.tasks,
-                dataclasses.replace(base.fast(), cohort_batching=False),
-            )
-        )
-        is FastSimulator
-    )
-    assert (
-        type(make_simulator(node, plan.tasks, base.auto()))
-        is AutoSimulator
-    )
+    for engine, cls in (
+        ("exact", IncrementalSimulator),
+        ("reference", Simulator),
+        ("fast", FastSimulator),
+    ):
+        config = dataclasses.replace(base, engine=engine)
+        assert type(make_simulator(node, plan.tasks, config)) is cls
     from repro.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(base, reference_engine=True, fast_contention=True)
-    with pytest.raises(ConfigurationError):
-        dataclasses.replace(base, cohort_batching=True)
+    for retired in ("incremental", "batched", "auto"):
+        with pytest.raises(ConfigurationError, match="reference, exact, fast"):
+            dataclasses.replace(base, engine=retired)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)
@@ -439,7 +377,7 @@ def test_rate_model_matches_module_functions(kernel):
 
 
 # ----------------------------------------------------------------------
-# cohort batching: batched vs unbatched fast tier, numpy fallback
+# cohort batching and the numpy fallback
 # ----------------------------------------------------------------------
 
 
@@ -465,39 +403,21 @@ def _cohort_heavy_plan(num_gpus=4, waves=6):
     return builder.build().tasks
 
 
-def test_cohort_heavy_plan_batched_matches_unbatched():
-    """Batched vs unbatched fast tier on a cohort-heavy plan."""
+def test_cohort_heavy_plan_fast_tier_within_tolerance():
+    """Multi-event cohorts drain together and stay within tolerance."""
     num_gpus = 4
     node = NODES[num_gpus]
     tasks = _cohort_heavy_plan(num_gpus)
     config = SimConfig(
         jitter_sigma=0.0, governor_period_s=5e-6, trace_power=True
-    ).fast()
-    unbatched = make_simulator(
-        node, tasks, dataclasses.replace(config, cohort_batching=False)
     )
-    batched = make_simulator(node, tasks, config)
-    assert type(unbatched) is FastSimulator
-    assert type(batched) is BatchedSimulator
-    a = unbatched.run()
-    b = batched.run()
+    _assert_close(node, tasks, config, rel_tol=0.05)
+    fast = make_simulator(node, tasks, config.fast())
+    fast.run()
     # The plan must actually produce multi-event cohorts, or this
     # exercises nothing (events per cohort strictly > 1 on average).
-    assert batched.stats.cohorts > 0
-    assert batched.stats.events > batched.stats.cohorts
-    # Same tier, same aggregates — only the banking arithmetic differs
-    # (O(1) cumulative vs per-step replay), so the bound is tight.
-    tol = max(1e-9, 1e-6 * a.end_time_s)
-    assert abs(a.end_time_s - b.end_time_s) <= tol
-    assert len(a.records) == len(b.records)
-    by_id = {record.task_id: record for record in b.records}
-    for rec in a.records:
-        other = by_id[rec.task_id]
-        assert abs(rec.start_s - other.start_s) <= tol
-        assert abs(rec.end_s - other.end_s) <= tol
-    energy_a, energy_b = _total_energy(a), _total_energy(b)
-    if energy_a > 0:
-        assert abs(energy_a - energy_b) <= 1e-5 * energy_a
+    assert fast.stats.cohorts > 0
+    assert fast.stats.events > fast.stats.cohorts
 
 
 def test_batched_numpy_fallback_identical_on_real_plan(monkeypatch):
@@ -517,75 +437,6 @@ def test_batched_numpy_fallback_identical_on_real_plan(monkeypatch):
     assert (
         with_numpy.min_clock_frac_seen == fallback.min_clock_frac_seen
     )
-
-
-# ----------------------------------------------------------------------
-# auto tier: flip within tolerance, unreachable threshold bit-exact
-# ----------------------------------------------------------------------
-
-
-@settings(max_examples=15, deadline=None)
-@given(random_plans())
-def test_auto_tier_flip_within_tolerance(plan):
-    """A low flip threshold: results stay inside the tolerance tier."""
-    node, tasks, config = plan
-    _assert_close(
-        node,
-        tasks,
-        config,
-        rel_tol=0.10,
-        abs_floor_s=2e-5,
-        fast_config=config.auto(threshold=2),
-    )
-
-
-def test_auto_tier_flips_and_stays_within_tolerance_on_real_plan():
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3)
-    auto = make_simulator(node, plan.tasks, config.auto(threshold=4))
-    assert type(auto) is AutoSimulator
-    result = auto.run()
-    # The threshold is low enough that the live population crosses it:
-    # the engine must actually have flipped, exactly once.
-    assert auto.stats.auto_flips == 1
-    ref = Simulator(
-        node,
-        plan.tasks,
-        dataclasses.replace(config, reference_engine=True),
-    ).run()
-    tol = 0.05 * ref.end_time_s
-    assert abs(ref.end_time_s - result.end_time_s) <= tol
-    energy_ref, energy_auto = _total_energy(ref), _total_energy(result)
-    assert abs(energy_ref - energy_auto) <= 0.05 * energy_ref + 1e-9
-
-
-def test_auto_tier_unreachable_threshold_is_bit_exact():
-    """Below the flip point the auto engine IS the exact engine."""
-    node, plan, cfg = _real_plan("fsdp", 2, power_limit_w=250.0)
-    config = cfg.sim_config(seed=3)
-    auto = make_simulator(node, plan.tasks, config.auto(threshold=10**9))
-    exact = IncrementalSimulator(node, plan.tasks, config)
-    a = auto.run()
-    b = exact.run()
-    assert auto.stats.auto_flips == 0
-    assert a.end_time_s == b.end_time_s
-    assert a.records == b.records
-    assert a.power_segments == b.power_segments
-    assert a.min_clock_frac_seen == b.min_clock_frac_seen
-
-
-@settings(max_examples=15, deadline=None)
-@given(random_plans())
-def test_auto_tier_unreachable_threshold_bit_exact_property(plan):
-    node, tasks, config = plan
-    auto = make_simulator(node, tasks, config.auto(threshold=10**9))
-    exact = IncrementalSimulator(node, tasks, config)
-    a = auto.run()
-    b = exact.run()
-    assert auto.stats.auto_flips == 0
-    assert a.end_time_s == b.end_time_s
-    assert a.records == b.records
-    assert a.power_segments == b.power_segments
 
 
 # ----------------------------------------------------------------------
@@ -622,9 +473,7 @@ def test_experiment_tolerances_gate_the_tolerance_suite():
     ref = Simulator(
         node,
         plan.tasks,
-        dataclasses.replace(
-            exact_cfg.sim_config(seed=3), reference_engine=True
-        ),
+        dataclasses.replace(exact_cfg.sim_config(seed=3), engine="reference"),
     ).run()
     fast = make_simulator(node, plan.tasks, config).run()
     time_tol = cfg.tolerance("records") * ref.end_time_s

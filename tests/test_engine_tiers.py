@@ -2,21 +2,14 @@
 
 Engine *numerics* per tier are pinned in test_engine_equivalence.py;
 this file covers how the tiers are selected and surfaced — the
-``SimConfig``/``ExperimentConfig`` knobs, the environment overrides,
-the governor's no-op predicate, the power evaluator's fast path and
-the scenario CLI's ``--set`` plumbing.
+``SimConfig.engine`` / ``ExperimentConfig.engine_tier`` knobs, the
+``$REPRO_SIM_ENGINE`` override, the governor's no-op predicate, the
+power evaluator's fast path and the scenario CLI's ``--set`` plumbing.
 """
-
-import dataclasses
 
 import pytest
 
-from repro.core.experiment import (
-    SIM_ENGINE_ENV,
-    SIM_EVENT_QUEUE_ENV,
-    SIM_FAST_ENV,
-    ExperimentConfig,
-)
+from repro.core.experiment import SIM_ENGINE_ENV, ExperimentConfig
 from repro.errors import ConfigurationError
 from repro.hw.datapath import Datapath
 from repro.hw.dvfs import FrequencyGovernor, PowerLimitPolicy
@@ -31,44 +24,25 @@ CELL = dict(gpu="A100", model="gpt3-xl", batch_size=8)
 # ----------------------------------------------------------------------
 
 
-def test_sim_config_validates_event_queue():
-    assert SimConfig(event_queue="calendar").event_queue == "calendar"
-    with pytest.raises(ConfigurationError):
-        SimConfig(event_queue="splay")
-
-
-def test_sim_config_rejects_reference_plus_fast_contention():
-    with pytest.raises(ConfigurationError):
-        SimConfig(reference_engine=True, fast_contention=True)
+def test_sim_config_validates_engine():
+    assert SimConfig().engine == "exact"
+    assert SimConfig(engine="reference").engine == "reference"
+    for retired in ("calendar", "incremental", "batched", "auto"):
+        with pytest.raises(ConfigurationError):
+            SimConfig(engine=retired)
 
 
 def test_sim_config_fast_turns_on_every_mechanism():
     fast = SimConfig(power_limit_w=300.0, seed=7).fast()
-    assert fast.event_queue == "calendar"
-    assert fast.fast_contention and fast.adaptive_governor
-    assert fast.cohort_batching
-    assert not fast.reference_engine
+    assert fast.engine == "fast"
     # Unrelated knobs survive the copy.
     assert fast.power_limit_w == 300.0 and fast.seed == 7
-
-
-def test_sim_config_auto_rides_the_fast_tier():
-    auto = SimConfig(seed=3).auto(threshold=128)
-    assert auto.auto_tier_threshold == 128
-    assert auto.fast_contention and auto.cohort_batching
-    assert auto.event_queue == "calendar"
-    with pytest.raises(ConfigurationError):
-        SimConfig().auto(threshold=0)
-    with pytest.raises(ConfigurationError):
-        # The auto engine is the batched engine plus an exact phase;
-        # a non-fast auto config is contradictory.
-        dataclasses.replace(SimConfig(), auto_tier_threshold=64)
 
 
 def test_sim_config_ideal_preserves_tier_knobs():
     ideal = SimConfig().fast().ideal()
     assert not ideal.contention_enabled
-    assert ideal.fast_contention and ideal.event_queue == "calendar"
+    assert ideal.engine == "fast"
 
 
 # ----------------------------------------------------------------------
@@ -83,35 +57,42 @@ def test_engine_tier_validation():
         ExperimentConfig(**CELL, engine_tier="warp")
 
 
+def test_engine_tier_auto_is_rejected_with_known_tiers():
+    with pytest.raises(ConfigurationError, match=r"known: exact, fast\)"):
+        ExperimentConfig(**CELL, engine_tier="auto")
+
+
 def test_engine_tier_maps_into_sim_config(monkeypatch):
-    for var in (SIM_ENGINE_ENV, SIM_EVENT_QUEUE_ENV, SIM_FAST_ENV):
-        monkeypatch.delenv(var, raising=False)
-    exact = ExperimentConfig(**CELL).sim_config(seed=0)
-    assert not exact.fast_contention and exact.event_queue == "heap"
-    fast = ExperimentConfig(**CELL, engine_tier="fast").sim_config(seed=0)
-    assert fast.fast_contention and fast.adaptive_governor
-    assert fast.event_queue == "calendar"
-
-
-def test_env_overrides_select_tier_and_queue(monkeypatch):
     monkeypatch.delenv(SIM_ENGINE_ENV, raising=False)
-    monkeypatch.setenv(SIM_FAST_ENV, "1")
-    config = ExperimentConfig(**CELL).sim_config(seed=0)
-    assert config.fast_contention and config.event_queue == "calendar"
-    monkeypatch.setenv(SIM_EVENT_QUEUE_ENV, "heap")
-    assert ExperimentConfig(**CELL).sim_config(seed=0).event_queue == "heap"
-    # The reference oracle wins over an env-level fast-tier request
-    # (both toggles are cache-transparent, so no pollution).
-    monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
-    config = ExperimentConfig(**CELL).sim_config(seed=0)
-    assert config.reference_engine and not config.fast_contention
+    assert ExperimentConfig(**CELL).sim_config(seed=0).engine == "exact"
+    fast = ExperimentConfig(**CELL, engine_tier="fast").sim_config(seed=0)
+    assert fast.engine == "fast"
+
+
+def test_env_engine_override_selects_reference(monkeypatch):
+    for value, engine in (
+        ("", "exact"),
+        ("exact", "exact"),
+        ("reference", "reference"),
+        (" Reference ", "reference"),
+    ):
+        monkeypatch.setenv(SIM_ENGINE_ENV, value)
+        assert ExperimentConfig(**CELL).sim_config(seed=0).engine == engine
+
+
+@pytest.mark.parametrize("value", ["refrence", "fast", "auto", "1"])
+def test_env_engine_override_rejects_unknown_values(monkeypatch, value):
+    """A typo must not silently run the default engine (that would make
+    a reference-engine check compare the default engine to itself)."""
+    monkeypatch.setenv(SIM_ENGINE_ENV, value)
+    with pytest.raises(ConfigurationError, match=SIM_ENGINE_ENV):
+        ExperimentConfig(**CELL).sim_config(seed=0)
 
 
 def test_reference_env_refuses_fast_tier_cells(monkeypatch):
     """engine_tier='fast' hashes into the cache key; the env toggle
     does not — honoring both would cache oracle numbers under
     fast-tier keys, so the combination is rejected."""
-    monkeypatch.delenv(SIM_FAST_ENV, raising=False)
     monkeypatch.setenv(SIM_ENGINE_ENV, "reference")
     cell = ExperimentConfig(**CELL, engine_tier="fast")
     with pytest.raises(ConfigurationError):

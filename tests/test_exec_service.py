@@ -10,7 +10,11 @@ import pytest
 
 from repro.core.experiment import ExperimentConfig
 from repro.core.modes import ExecutionMode
-from repro.core.sweep import grid_configs, run_grid, summarize_slowdowns
+from repro.core.sweep import (
+    grid_configs,
+    grid_spec_from_args,
+    summarize_slowdowns,
+)
 from repro.errors import ConfigurationError
 from repro.exec.cache import ResultCache
 from repro.exec.executors import (
@@ -25,6 +29,7 @@ from repro.exec.service import (
     default_service,
     reset_default_service,
 )
+from repro.scenario import run_spec
 
 MODES = (ExecutionMode.OVERLAPPED, ExecutionMode.SEQUENTIAL)
 GRID = dict(
@@ -36,6 +41,10 @@ GRID = dict(
 )
 
 
+def _run_grid(service, **grid):
+    return run_spec(grid_spec_from_args(**grid), service=service)
+
+
 @pytest.fixture(scope="module")
 def serial_service():
     return ExecutionService(SerialExecutor(), ResultCache())
@@ -43,19 +52,19 @@ def serial_service():
 
 @pytest.fixture(scope="module")
 def serial_rows(serial_service):
-    return run_grid(service=serial_service, **GRID)
+    return _run_grid(serial_service, **GRID)
 
 
 @pytest.fixture(scope="module")
 def parallel_rows():
     service = ExecutionService(ParallelExecutor(max_workers=4), ResultCache())
-    return run_grid(service=service, **GRID)
+    return _run_grid(service, **GRID)
 
 
 @pytest.fixture(scope="module")
 def async_rows():
     service = ExecutionService(AsyncExecutor(max_concurrency=4), ResultCache())
-    return run_grid(service=service, **GRID)
+    return _run_grid(service, **GRID)
 
 
 def test_grid_covers_every_cell(serial_rows):
@@ -86,7 +95,7 @@ def test_async_matches_serial_bit_for_bit(serial_rows, async_rows):
 
 def test_warm_cache_rerun_simulates_nothing(serial_service, serial_rows):
     executed_before = serial_service.executor.jobs_executed
-    rerun = run_grid(service=serial_service, **GRID)
+    rerun = _run_grid(serial_service, **GRID)
     assert serial_service.executor.jobs_executed == executed_before
     for original, cached in zip(serial_rows, rerun):
         if original.ran:
@@ -219,7 +228,7 @@ def test_cacheless_service_always_simulates():
 
 def test_summarize_slowdowns_on_all_infeasible_grid():
     service = ExecutionService(SerialExecutor(), ResultCache())
-    rows = run_grid(
+    grid = dict(
         gpus=("A100",),
         models=("gpt3-13b", "llama2-13b"),
         batch_sizes=(8, 16),
@@ -227,8 +236,8 @@ def test_summarize_slowdowns_on_all_infeasible_grid():
             gpu="A100", model="gpt3-xl", batch_size=8, runs=1
         ),
         modes=MODES,
-        service=service,
     )
+    rows = _run_grid(service, **grid)
     assert all(not row.ran for row in rows)
     summary = summarize_slowdowns(rows)
     assert summary == {
@@ -240,16 +249,7 @@ def test_summarize_slowdowns_on_all_infeasible_grid():
     }
     # Infeasibility is cached too: the rerun submits nothing.
     executed = service.executor.jobs_executed
-    run_grid(
-        gpus=("A100",),
-        models=("gpt3-13b", "llama2-13b"),
-        batch_sizes=(8, 16),
-        base=ExperimentConfig(
-            gpu="A100", model="gpt3-xl", batch_size=8, runs=1
-        ),
-        modes=MODES,
-        service=service,
-    )
+    _run_grid(service, **grid)
     assert service.executor.jobs_executed == executed
 
 

@@ -1,97 +1,59 @@
-"""Tests for the event queue backends.
-
-Every behavioural test runs against both storage backends — the
-binary heap and the bucketed calendar queue — because they share one
-versioned surface and must be observably interchangeable. A dedicated
-property test additionally drives both backends through identical
-random operation sequences and requires identical outputs.
-"""
+"""Tests for the engine's versioned event queue."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import (
-    CalendarEventQueue,
-    Event,
-    EventKind,
-    EventQueue,
-    make_event_queue,
-)
-
-BACKENDS = {
-    "heap": EventQueue,
-    "calendar": lambda: CalendarEventQueue(bucket_width_s=7.0),
-}
+from repro.sim.events import EventKind, EventQueue
 
 
-@pytest.fixture(params=sorted(BACKENDS), name="queue")
+@pytest.fixture(params=["heap"], name="queue")
 def _queue(request):
-    return BACKENDS[request.param]()
+    return EventQueue()
 
 
-def _event(t, payload=0, epoch=0):
-    return Event(t, EventKind.TASK_FINISH, payload, epoch)
+def _schedule(queue, t, payload=0):
+    return queue.schedule(t, EventKind.TASK_FINISH, payload)
 
 
 def test_pop_orders_by_time(queue):
-    queue.push(_event(3.0, "c"))
-    queue.push(_event(1.0, "a"))
-    queue.push(_event(2.0, "b"))
-    assert [queue.pop().payload for _ in range(3)] == ["a", "b", "c"]
+    _schedule(queue, 3.0, "c")
+    _schedule(queue, 1.0, "a")
+    _schedule(queue, 2.0, "b")
+    assert [queue.pop_live().payload for _ in range(3)] == ["a", "b", "c"]
 
 
 def test_ties_broken_by_insertion_order(queue):
-    queue.push(_event(1.0, "first"))
-    queue.push(_event(1.0, "second"))
-    assert queue.pop().payload == "first"
-    assert queue.pop().payload == "second"
+    _schedule(queue, 1.0, "first")
+    _schedule(queue, 1.0, "second")
+    assert queue.pop_live().payload == "first"
+    assert queue.pop_live().payload == "second"
 
 
 def test_pop_empty_returns_none(queue):
-    assert queue.pop() is None
-
-
-def test_peek_does_not_remove(queue):
-    queue.push(_event(0.5))
-    assert queue.peek_time() == pytest.approx(0.5)
-    assert len(queue) == 1
-
-
-def test_peek_empty_returns_none(queue):
-    assert queue.peek_time() is None
+    assert queue.pop_live() is None
+    assert queue.pop_live_cohort() is None
 
 
 def test_len_and_bool(queue):
     assert not queue
-    queue.push(_event(1.0))
+    _schedule(queue, 1.0)
     assert queue and len(queue) == 1
 
 
 def test_rejects_negative_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(-1.0))
+        _schedule(queue, -1.0)
 
 
 def test_rejects_nan_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(float("nan")))
+        _schedule(queue, float("nan"))
 
 
 def test_rejects_infinite_time(queue):
     with pytest.raises(SimulationError):
-        queue.push(_event(float("inf")))
-
-
-def test_make_event_queue_selects_backend():
-    assert type(make_event_queue("heap")) is EventQueue
-    calendar = make_event_queue("calendar", bucket_width_s=0.5)
-    assert isinstance(calendar, CalendarEventQueue)
-    assert calendar.bucket_width_s == 0.5
-    with pytest.raises(SimulationError):
-        make_event_queue("fibonacci")
-    with pytest.raises(SimulationError):
-        CalendarEventQueue(bucket_width_s=0.0)
+        _schedule(queue, float("inf"))
 
 
 @given(
@@ -102,14 +64,30 @@ def test_make_event_queue_selects_backend():
     )
 )
 def test_pop_sequence_is_sorted(times):
-    for factory in BACKENDS.values():
-        q = factory()
-        for t in times:
-            q.push(_event(t))
-        popped = []
-        while q:
-            popped.append(q.pop().time)
-        assert popped == sorted(times)
+    q = EventQueue()
+    for payload, t in enumerate(times):
+        _schedule(q, t, payload)
+    popped = []
+    while q:
+        popped.append(q.pop_live().time)
+    assert popped == sorted(times)
+
+
+def test_pop_live_cohort_drains_one_timestamp_in_fifo_order(queue):
+    _schedule(queue, 2.0, "late")
+    _schedule(queue, 1.0, "a")
+    _schedule(queue, 1.0, "stale")
+    _schedule(queue, 1.0, "b")
+    _schedule(queue, 3.0, "stale")  # supersedes the t=1.0 copy
+    buffer = ["leftover"]
+    cohort = queue.pop_live_cohort(buffer)
+    assert cohort is buffer
+    assert [(e.time, e.payload) for e in cohort] == [(1.0, "a"), (1.0, "b")]
+    assert queue.stale_dropped == 1
+    assert [e.payload for e in queue.pop_live_cohort()] == ["late"]
+    assert [e.payload for e in queue.pop_live_cohort()] == ["stale"]
+    assert queue.pop_live_cohort() is None
+    queue.check_invariants()
 
 
 # ----------------------------------------------------------------------
@@ -179,49 +157,19 @@ def test_compaction_preserves_order_and_results(queue):
 
 @given(st.lists(st.tuples(st.integers(0, 4), st.floats(0.0, 100.0)), max_size=60))
 def test_pop_live_returns_only_latest_per_payload(schedules):
-    for factory in BACKENDS.values():
-        q = factory()
-        latest = {}
-        for payload, time in schedules:
-            q.schedule(time, EventKind.TASK_FINISH, payload)
-            latest[payload] = time
-        got = {}
-        while True:
-            event = q.pop_live()
-            if event is None:
-                break
-            assert event.payload not in got
-            got[event.payload] = event.time
-        assert got == latest
-
-
-# ----------------------------------------------------------------------
-# regression: peek_time must never surface a superseded wake-up time
-# ----------------------------------------------------------------------
-
-
-def test_peek_skips_and_drops_stale_heads(queue):
-    """Schedule, supersede, peek: the stale head must not be visible."""
-    queue.schedule(1.0, EventKind.TASK_FINISH, 42)
-    queue.schedule(5.0, EventKind.TASK_FINISH, 42)  # supersedes t=1.0
-    # Regression: peek_time used to report the tombstone's 1.0.
-    assert queue.peek_time() == 5.0
-    # The stale head was dropped on the way, exactly once.
-    assert len(queue) == 1
-    assert queue.stale_dropped == 1
-    assert queue.live_count == 1
-    event = queue.pop_live()
-    assert (event.time, event.payload) == (5.0, 42)
-    assert queue.peek_time() is None
-
-
-def test_peek_skips_chains_of_stale_heads(queue):
-    for t in (1.0, 2.0, 3.0, 9.0):
-        queue.schedule(t, EventKind.TASK_FINISH, "k")
-    queue.schedule(4.0, EventKind.COLLECTIVE_FINISH, "live")
-    assert queue.peek_time() == 4.0  # three stale heads dropped
-    assert queue.stale_dropped == 3
-    queue.check_invariants()
+    q = EventQueue()
+    latest = {}
+    for payload, time in schedules:
+        q.schedule(time, EventKind.TASK_FINISH, payload)
+        latest[payload] = time
+    got = {}
+    while True:
+        event = q.pop_live()
+        if event is None:
+            break
+        assert event.payload not in got
+        got[event.payload] = event.time
+    assert got == latest
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +182,9 @@ def test_versions_pruned_after_pop(queue):
         queue.schedule(float(i) + 0.5, EventKind.TASK_FINISH, i)
     while queue.pop_live() is not None:
         pass
-    # Regression: _versions used to retain one entry per key forever.
-    assert not queue._versions
-    assert not queue._key_copies
-    assert not queue._live_keys
+    # Regression: the version table used to retain one entry per key
+    # forever.
+    assert not queue._cells
     queue.check_invariants()
 
 
@@ -248,9 +195,9 @@ def test_versions_survive_while_stale_copies_remain(queue):
     assert event.time == 1.0
     # The version entry must survive: the stale copy still in storage
     # would otherwise read as live.
-    assert (EventKind.TASK_FINISH, 1) in queue._versions
+    assert (EventKind.TASK_FINISH, 1) in queue._cells
     assert queue.pop_live() is None
-    assert not queue._versions  # last copy gone -> pruned
+    assert not queue._cells  # last copy gone -> pruned
     queue.check_invariants()
 
 
@@ -267,8 +214,7 @@ def test_schedule_cancel_storm_keeps_state_bounded(queue):
         while queue.pop_live() is not None:
             pass
         queue.check_invariants()
-    assert not queue._versions
-    assert not queue._key_copies
+    assert not queue._cells
     assert queue.live_count == 0
 
 
@@ -310,22 +256,8 @@ def test_rejected_schedule_leaves_bookkeeping_untouched(queue):
     queue.check_invariants()
 
 
-def test_raw_and_versioned_keys_do_not_mix(queue):
-    queue.schedule(1.0, EventKind.TASK_FINISH, 7)
-    with pytest.raises(SimulationError):
-        queue.push(_event(2.0, 7))
-    queue2 = type(queue)() if type(queue) is EventQueue else CalendarEventQueue()
-    queue2.push(_event(1.0, 7))
-    with pytest.raises(SimulationError):
-        queue2.schedule(2.0, EventKind.TASK_FINISH, 7)
-    # Once the raw copy is popped, the key may become version-managed.
-    queue2.pop()
-    queue2.schedule(2.0, EventKind.TASK_FINISH, 7)
-    assert queue2.pop_live().epoch == 1
-
-
 # ----------------------------------------------------------------------
-# property: random interleavings keep both backends exact and identical
+# property: random interleavings keep the queue exact
 # ----------------------------------------------------------------------
 
 _OPS = st.lists(
@@ -333,12 +265,11 @@ _OPS = st.lists(
         st.tuples(
             st.just("schedule"),
             st.integers(0, 6),
-            st.floats(0.0, 50.0, allow_nan=False),
+            st.sampled_from([0.0, 1.5, 2.0, 7.25, 50.0]) | st.floats(0.0, 50.0),
         ),
         st.tuples(st.just("cancel"), st.integers(0, 6), st.just(0.0)),
         st.tuples(st.just("pop_live"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("pop"), st.just(0), st.just(0.0)),
-        st.tuples(st.just("peek"), st.just(0), st.just(0.0)),
+        st.tuples(st.just("pop_live_cohort"), st.just(0), st.just(0.0)),
         st.tuples(st.just("compact"), st.just(0), st.just(0.0)),
     ),
     max_size=80,
@@ -347,52 +278,43 @@ _OPS = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(_OPS)
-def test_random_interleavings_keep_invariants_and_backends_agree(ops):
-    heap = EventQueue()
-    calendar = CalendarEventQueue(bucket_width_s=3.0)
-    for op, key, time in ops:
-        results = []
-        for q in (heap, calendar):
-            if op == "schedule":
-                q.schedule(time, EventKind.TASK_FINISH, key)
-                results.append(None)
-            elif op == "cancel":
-                q.cancel(EventKind.TASK_FINISH, key)
-                results.append(None)
-            elif op == "pop_live":
-                event = q.pop_live()
-                results.append(
-                    None
-                    if event is None
-                    else (event.time, event.payload, event.epoch)
-                )
-            elif op == "pop":
-                event = q.pop()
-                results.append(
-                    None
-                    if event is None
-                    else (event.time, event.payload, event.epoch)
-                )
-            elif op == "peek":
-                results.append(q.peek_time())
-            elif op == "compact":
-                q.compact()
-                results.append(None)
-            q.check_invariants()
-        # The two backends must be observably identical step for step.
-        assert results[0] == results[1]
-        assert heap.live_count == calendar.live_count
-        assert heap.stale_dropped == calendar.stale_dropped
-    # Drain: remaining live sequences must match exactly.
-    drained = []
-    for q in (heap, calendar):
-        out = []
-        while True:
+def test_random_interleavings_keep_invariants_and_match_a_model(ops):
+    """Every step agrees with a plain dict model of the live events."""
+    q = EventQueue()
+    live = {}  # payload -> (time, schedule order)
+    for order, (op, key, time) in enumerate(ops):
+        if op == "schedule":
+            q.schedule(time, EventKind.TASK_FINISH, key)
+            live[key] = (time, order)
+        elif op == "cancel":
+            q.cancel(EventKind.TASK_FINISH, key)
+            live.pop(key, None)
+        elif op == "pop_live":
             event = q.pop_live()
-            if event is None:
-                break
-            out.append((event.time, event.payload, event.epoch))
-        drained.append(out)
-        assert not q._versions
-        assert not q._key_copies
-    assert drained[0] == drained[1]
+            if not live:
+                assert event is None
+            else:
+                head = min(live, key=live.__getitem__)
+                assert (event.time, event.payload) == (live.pop(head)[0], head)
+        elif op == "pop_live_cohort":
+            cohort = q.pop_live_cohort()
+            if not live:
+                assert cohort is None
+            else:
+                head_time = min(live.values())[0]
+                due = sorted(
+                    (k for k, v in live.items() if v[0] == head_time),
+                    key=live.__getitem__,
+                )
+                assert [(e.time, e.payload) for e in cohort] == [
+                    (head_time, k) for k in due
+                ]
+                for k in due:
+                    del live[k]
+        else:
+            q.compact()
+        q.check_invariants()
+        assert q.live_count == len(live)
+    while q.pop_live() is not None:
+        pass
+    assert not q._cells

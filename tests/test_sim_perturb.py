@@ -132,7 +132,7 @@ def test_normalize_perturbations():
 
 def _assert_identical(node, tasks, config):
     ref = Simulator(
-        node, tasks, dataclasses.replace(config, reference_engine=True)
+        node, tasks, dataclasses.replace(config, engine="reference")
     )
     inc = IncrementalSimulator(node, tasks, config)
     a = ref.run()
@@ -201,7 +201,6 @@ def random_perturbed_plans(draw):
         jitter_sigma=draw(st.sampled_from([0.0, 0.05])),
         seed=draw(st.integers(0, 3)),
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
-        event_queue=draw(st.sampled_from(["heap", "calendar"])),
         perturbations=draw(random_specs()),
     )
     return NODES[num_gpus], builder.build().tasks, config
@@ -257,28 +256,11 @@ def test_perturbed_real_plan_fast_tiers_within_tolerance():
     node, plan, cfg = _real_plan("fsdp", 2, specs, power_limit_w=250.0)
     config = cfg.sim_config(seed=3)
     ref = Simulator(
-        node, plan.tasks, dataclasses.replace(config, reference_engine=True)
+        node, plan.tasks, dataclasses.replace(config, engine="reference")
     ).run()
-    for tier_config in (config.fast(), config.auto(threshold=4)):
-        fast = make_simulator(node, plan.tasks, tier_config).run()
-        assert (
-            abs(ref.end_time_s - fast.end_time_s) <= 0.05 * ref.end_time_s
-        )
-        assert len(ref.records) == len(fast.records)
-
-
-def test_auto_tier_unreachable_threshold_bit_exact_with_perturbations():
-    specs = ({"kind": "straggler_rank", "target": "gpu:0",
-              "magnitude": 0.3},)
-    node, plan, cfg = _real_plan("fsdp", 2, specs)
-    config = cfg.sim_config(seed=1)
-    auto = make_simulator(node, plan.tasks, config.auto(threshold=10**9))
-    exact = IncrementalSimulator(node, plan.tasks, config)
-    a = auto.run()
-    b = exact.run()
-    assert auto.stats.auto_flips == 0
-    assert a.end_time_s == b.end_time_s
-    assert a.records == b.records
+    fast = make_simulator(node, plan.tasks, config.fast()).run()
+    assert abs(ref.end_time_s - fast.end_time_s) <= 0.05 * ref.end_time_s
+    assert len(ref.records) == len(fast.records)
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
 from repro.sim.engine import (
-    BatchedSimulator,
+    FastSimulator,
     IncrementalSimulator,
     Simulator,
 )
@@ -173,14 +173,14 @@ def _observables(result):
 
 
 @pytest.mark.parametrize(
-    "engine_cls", [Simulator, IncrementalSimulator, BatchedSimulator]
+    "engine_cls", [Simulator, IncrementalSimulator, FastSimulator]
 )
 def test_shared_prepared_matches_isolated_runs(engine_cls):
     tasks = _tasks(rounds=4)
     config = SimConfig(jitter_sigma=0.02, seed=11, governor_period_s=5e-6)
     if engine_cls is Simulator:
-        config = dataclasses.replace(config, reference_engine=True)
-    elif engine_cls is BatchedSimulator:
+        config = dataclasses.replace(config, engine="reference")
+    elif engine_cls is FastSimulator:
         config = config.fast()
     # Isolated baseline: fresh prep layer, its own prepared sim.
     reset_prepared()
@@ -202,7 +202,7 @@ def test_shared_prepared_matches_isolated_runs(engine_cls):
 
 
 def test_prepared_survives_mixed_tiers():
-    """One prepared sim serves exact and batched tiers alternately."""
+    """One prepared sim serves exact and fast tiers alternately."""
     tasks = _tasks(rounds=4)
     exact_cfg = SimConfig(jitter_sigma=0.01, seed=5)
     prep = prepare(
@@ -212,16 +212,16 @@ def test_prepared_survives_mixed_tiers():
         IncrementalSimulator(NODE, tasks, exact_cfg, prepared=prep).run()
     )
     fast_cfg = exact_cfg.fast()
-    batched = _observables(
-        BatchedSimulator(NODE, tasks, fast_cfg, prepared=prep).run()
+    fast = _observables(
+        FastSimulator(NODE, tasks, fast_cfg, prepared=prep).run()
     )
-    # The batched run must not have perturbed the shared tables: the
+    # The fast run must not have perturbed the shared tables: the
     # exact tier reproduces its result exactly afterwards.
     exact_b = _observables(
         IncrementalSimulator(NODE, tasks, exact_cfg, prepared=prep).run()
     )
     assert exact_a == exact_b
-    assert batched[1] is not None  # ran to completion
+    assert fast[1] is not None  # ran to completion
 
 
 def test_prepared_tables_are_shared_across_simulators():

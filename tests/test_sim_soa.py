@@ -1,11 +1,11 @@
 """Struct-of-arrays store and the numpy-optional ``*_many`` contract.
 
-The batched engine's vectorized evaluation is only sound because the
+The fast engine's vectorized evaluation is only sound because the
 numpy and pure-python paths of every ``*_many`` entry point are
 bit-for-bit identical — ``REPRO_SIM_NO_NUMPY`` is a perf knob, never
 an accuracy one. This suite pins that contract at three levels: the
 raw helpers (against their scalar forms and against each other), the
-env gate, and a whole ≥``VECTOR_MIN``-GPU batched simulation run with
+env gate, and a whole ≥``VECTOR_MIN``-GPU fast-tier simulation run with
 and without numpy.
 """
 
@@ -19,7 +19,7 @@ from repro.hw.power import PowerEvaluator
 from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
-from repro.sim.engine import BatchedSimulator, make_simulator
+from repro.sim.engine import FastSimulator, make_simulator
 from repro.sim.rates import RateModel
 from repro.sim.soa import NO_NUMPY_ENV, VECTOR_MIN, SoAStore, numpy_or_none
 from repro.sim.task import COMM_STREAM
@@ -190,7 +190,7 @@ def _run_wide_batched(monkeypatch, force_fallback):
         SimConfig(jitter_sigma=0.02, seed=5, trace_power=True).fast(),
     )
     sim = make_simulator(node, tasks, config)
-    assert isinstance(sim, BatchedSimulator)
+    assert isinstance(sim, FastSimulator)
     result = sim.run()
     return result, sim.stats
 
