@@ -175,13 +175,21 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
                 elapsed = time.perf_counter() - t1
                 setup_times.append(t1 - t0)
                 best = elapsed if best is None else min(best, elapsed)
-                events = sim.stats.events
+                stats = sim.stats
+                events = stats.events
+                # Free the finished run here, untimed: rebinding ``sim``
+                # inside the next setup window would bill its teardown
+                # to construction.
+                del sim
             if len(setup_times) == 1:
                 # --quick runs once; add one untimed-run construction
                 # so the warm-setup series exists in every record.
                 t0 = time.perf_counter()
-                make_simulator(node, plan.tasks, config, cost_model=cost_model)
+                spare = make_simulator(
+                    node, plan.tasks, config, cost_model=cost_model
+                )
                 setup_times.append(time.perf_counter() - t0)
+                del spare
         prep_after = prep_stats()
         setup_cold = setup_times[0]
         setup_warm = min(setup_times[1:])
@@ -199,11 +207,11 @@ def bench_single_cell(repeats: int, profile: bool = False) -> dict:
                 "hits": prep_after["hits"] - prep_before["hits"],
                 "builds": prep_after["builds"] - prep_before["builds"],
             },
-            "gpu_rate_passes": sim.stats.gpu_rate_passes,
-            "stale_events": sim.stats.stale_events,
-            "ticks_skipped": sim.stats.ticks_skipped,
-            "cohorts": sim.stats.cohorts,
-            "vector_batches": sim.stats.vector_batches,
+            "gpu_rate_passes": stats.gpu_rate_passes,
+            "stale_events": stats.stale_events,
+            "ticks_skipped": stats.ticks_skipped,
+            "cohorts": stats.cohorts,
+            "vector_batches": stats.vector_batches,
         }
         if profile:
             _profile_tier(engine, node, plan, config, cost_model)

@@ -21,8 +21,11 @@ one (:func:`make_simulator`):
   banks lazily by replaying the global time-step log, which reproduces
   the reference engine's per-step float arithmetic exactly; per-GPU
   float accumulations iterate memberships in creation order for the
-  same reason. Results are **bit-for-bit identical** to the reference
-  (the equivalence suite pins this).
+  same reason. The per-event path is one flattened loop, and each
+  dirty GPU is re-evaluated by one fused closure instead of the
+  reference's method chain — same arithmetic, fewer Python frames.
+  Results are **bit-for-bit identical** to the reference (the
+  equivalence suite and CI's end-to-end oracle diff pin this).
 * :class:`FastSimulator` (``"fast"``) — additive contention
   aggregates, adaptive governor ticks, cohort batching over a
   struct-of-arrays store and O(1) progress banking. Its results carry
@@ -43,7 +46,7 @@ from __future__ import annotations
 
 import gc
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.collectives.cost_model import CollectiveCostModel
@@ -126,15 +129,16 @@ class _RunningCompute:
     ai: float = float("inf")
     #: Short kernels never reach steady-state power; this precomputed
     #: ``isolated_s / (isolated_s + 50e-6)`` ramp discount is used by
-    #: the fast tier's fused power loop (the exact tiers compute
-    #: the identical quotient inline).
+    #: the fused power loops (the reference engine computes the
+    #: identical quotient inline).
     ramp: float = 1.0
     #: Whether the kernel issues on the vector datapath (else tensor);
     #: pre-resolved so the fused power loop never touches the kernel.
     is_vector: bool = True
     #: Free-running utilisation at the config's clock cap — the clock
     #: every uncapped (and most capped) evaluations see — so the fused
-    #: loop's common case is one float compare instead of a dict walk.
+    #: loops' common case is one float compare instead of the closed
+    #: form (:meth:`RateModel.free_utilization_from_params`).
     free_util0: float = 0.0
     #: The task's id, denormalized so finish (re)scheduling — once per
     #: rate change per entry — skips the task attribute walk.
@@ -148,10 +152,6 @@ class _RunningCompute:
     #: Cumulative simulated time up to which progress has been banked
     #: (fast engine only — O(1) banking, no replay log).
     bank_cum: float = 0.0
-    #: Per-clock free-running utilisation, resolved through the shared
-    #: RateModel memo on first use (values are identical; this cache
-    #: only skips the kernel-keyed hashing on the power hot path).
-    free_util_cache: Dict[float, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -339,9 +339,6 @@ class Simulator:
     # ------------------------------------------------------------------
 
     def _on_compute_launched(self, entry: _RunningCompute) -> None:
-        pass
-
-    def _on_compute_finished(self, entry: _RunningCompute) -> None:
         pass
 
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
@@ -555,7 +552,6 @@ class Simulator:
                 entry.isolated_s,
             )
         )
-        self._on_compute_finished(entry)
         self._on_task_done(task)
 
     def _finish_collective(self, key: str) -> None:
@@ -695,9 +691,10 @@ class Simulator:
         """(sm_avail, hbm_avail, eff_clock) from raw contention terms.
 
         The contention formulas — the clamp, the starvation floors,
-        interference scaling and the ideal-mode bypass — for both exact
-        tiers; the fast tier's fused loops inline the same formulas
-        over its additive aggregates (:meth:`FastSimulator
+        interference scaling and the ideal-mode bypass. The exact
+        tier's fused recompute inlines them over its resident sets
+        (:meth:`IncrementalSimulator._make_exact_recompute`), the fast
+        tier's over its additive aggregates (:meth:`FastSimulator
         ._fused_availability`).
         """
         if not self.config.contention_enabled:
@@ -721,11 +718,12 @@ class Simulator:
     ) -> None:
         """Re-derive each running kernel's rate from its fair share.
 
-        Shared verbatim by both exact tiers (they differ only in how
-        their resident sets are gathered), so the roofline arithmetic
-        and the push-on-change event discipline live once.
-        ``rate_mul`` is the GPU's straggler derate (1.0 when healthy),
-        applied after the roofline floor so the rate stays positive.
+        A finish is (re)scheduled only when the rate changes (or was
+        never scheduled) — the push-on-change discipline every tier
+        keeps. Progress needs no banking here: :meth:`_advance_to`
+        banks eagerly. ``rate_mul`` is the GPU's straggler derate (1.0
+        when healthy), applied after the roofline floor so the rate
+        stays positive.
         """
         rate_from_params = RateModel.rate_from_params
         for entry in entries:
@@ -739,21 +737,12 @@ class Simulator:
             if rate_mul != 1.0:
                 new_rate *= rate_mul
             if new_rate != entry.rate or not entry.scheduled:
-                self._bank_entry(entry)
                 entry.rate = new_rate
                 entry.scheduled = True
                 finish = self.time + entry.work_remaining / new_rate
                 self.queue.schedule(
                     finish, EventKind.TASK_FINISH, entry.tid
                 )
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        """Bring an entry's banked progress up to ``self.time``.
-
-        The reference engine banks eagerly in :meth:`_advance_to`, so
-        this is a no-op here; the incremental engine overrides it with
-        the lazy time-step replay.
-        """
 
     def _compute_power_terms(
         self,
@@ -779,12 +768,9 @@ class Simulator:
             # not the throughput it actually achieves. Intrinsically
             # memory-bound kernels are unaffected (their uncontended
             # utilisation is already low).
-            free_util = entry.free_util_cache.get(clock)
-            if free_util is None:
-                free_util = self._rates.free_utilization(
-                    entry.task.kernel, clock
-                )
-                entry.free_util_cache[clock] = free_util
+            free_util = self._rates.free_utilization(
+                entry.task.kernel, clock
+            )
             if free_util > util:
                 util += stall_frac * (free_util - util)
             # Short kernels never reach steady-state power: wave ramp-up
@@ -1068,12 +1054,23 @@ class IncrementalSimulator(Simulator):
     unchanged — the reference engine would recompute identical floats
     and push no events — so skipping it cannot alter the results.
 
-    Progress banking is lazy: :meth:`_advance_to` appends each positive
-    time step to a log, and an entry/instance replays its missed steps
-    (with the per-step ``max(0, w - r*dt)`` clamp) only when its rate
-    changes or its remaining work is read. The replay performs exactly
-    the reference engine's per-event arithmetic, which is what keeps
-    the two engines bit-for-bit identical rather than merely close.
+    Progress banking is lazy: each positive time step is appended to a
+    log, and an entry/instance replays its missed steps (with the
+    per-step ``max(0, w - r*dt)`` clamp) only when its rate changes or
+    its remaining work is read. The replay performs exactly the
+    reference engine's per-event arithmetic, which is what keeps the
+    two engines bit-for-bit identical rather than merely close.
+
+    The per-event path is flattened for speed without changing that
+    arithmetic. :meth:`_run_loop` inlines the event dispatch, the time
+    step, the compute-finish branch, the launch pass, the recompute
+    dispatch and the governor tick bookkeeping on hoisted locals, and
+    each dirty GPU is re-evaluated by one closure
+    (:meth:`_make_exact_recompute`) that folds the reference's
+    availability / rate / power-term / power / segment chain into a
+    single pass. One event is still processed per step and every
+    governor period still ticks: there are no cohorts and no skipped
+    ticks (those are the fast tier's).
     """
 
     def __init__(
@@ -1114,6 +1111,10 @@ class IncrementalSimulator(Simulator):
         #: from the prep layer.
         self._stream_order = self.prepared.stream_order
         self._wake_streams = self.prepared.wake_streams
+        #: The per-GPU recompute closure; the fast tier replaces it
+        #: with its own, over the aggregate store it builds after this
+        #: constructor returns.
+        self._recompute_gpu_fused = self._make_exact_recompute()
 
     def _finalize(self) -> SimulationResult:
         result = super()._finalize()
@@ -1125,40 +1126,239 @@ class IncrementalSimulator(Simulator):
 
         Called once at the end of a completed run; the simulator's own
         references stay valid (the containers are simply cleared), and
-        nothing reads them after ``_finalize``.
+        nothing reads them after ``_finalize``. The recompute closure
+        is dropped too: it holds the simulator, and left in place that
+        cycle keeps a finished run's records and logs alive until the
+        cyclic collector runs, which raises peak memory.
         """
         if not self._arena_released:
             self._arena_released = True
             self._arena.release_sets(self.node.num_gpus, self._arena_sets)
+            del self._recompute_gpu_fused
+
+    # ------------------------------------------------------------------
+    # flattened event loop
+    # ------------------------------------------------------------------
+
+    def _run_loop(self) -> None:
+        """The reference loop, one event per step, fully flattened.
+
+        Inlined here on hoisted locals, line-for-line equivalent to the
+        methods they replace: :meth:`Simulator._advance_to` (as the
+        lazy dt log), :meth:`Simulator._finish_compute` plus its hooks,
+        :meth:`Simulator._governor_tick`, :meth:`_try_launch` plus
+        :meth:`Simulator._launch_compute`, :meth:`_recompute` and
+        :meth:`Simulator._ensure_ticks`. Those stay the canonical
+        copies (:meth:`run`'s priming pass still dispatches through
+        the last three). Python frames are the dominant cost at this
+        call rate; keep the copies — and the fast tier's
+        :meth:`FastSimulator._event_loop` — in sync when touching any.
+        """
+        config = self.config
+        max_time = config.max_sim_time_s
+        period = config.governor_period_s
+        total = len(self.tasks)
+        stats = self.stats
+        pop_live = self.queue.pop_live
+        schedule = self.queue.schedule
+        fused = self._recompute_gpu_fused
+        recompute_insts = self._recompute_insts
+        finish_collective = self._finish_collective
+        apply_perturb = self._apply_perturb
+        post_comm = self._post_comm
+        idle_power = self._power_eval.idle_power
+        stream_order_key = self._stream_order.__getitem__
+        # Hot state hoisted as locals: every object below keeps its
+        # identity across the run (mutated in place, never rebound).
+        done = self.done
+        tasks = self.tasks
+        running = self.running
+        records = self.records
+        streams = self.streams
+        stream_pos = self._stream_pos
+        waiting = self._waiting
+        comm_started = self._comm_started
+        launch_candidates = self._launch_candidates
+        wake_streams = self._wake_streams
+        compute_table = self._compute_table
+        running_on = self._running_on
+        active_on = self._active_on
+        dirty_gpus = self._dirty_gpus
+        dirty_insts = self._dirty_insts
+        dts = self._dts
+        clock_of = self._clock
+        power_now = self._power_now
+        governors = self._governors
+        num_governors = len(governors)
+        tick_pending = self._tick_pending
+        perturbed = self._perturbed
+        perturb_cap = self._perturb_cap
+        # Only this loop (and _governor_tick/_ensure_ticks, which it
+        # replaces) touches the outstanding-tick count; it is written
+        # back when the loop exits.
+        ticks_outstanding = self._ticks_outstanding
+        events = 0
+        try:
+            while len(done) < total:
+                event = pop_live()
+                if event is None:
+                    raise DeadlockError(self._deadlock_report())
+                t, kind, payload, _version = event
+                if t > max_time:
+                    raise SimulationError(
+                        f"simulation exceeded {max_time}s"
+                    )
+                events += 1
+                # _advance_to, inlined: log the step for lazy banking.
+                now = self.time
+                if t > now:
+                    dts.append(t - now)
+                    self.time = t
+                elif t < now - 1e-12:
+                    raise SimulationError("event time went backwards")
+                if kind is _TASK_FINISH:
+                    # _finish_compute + _on_task_done, inlined, plus
+                    # the resident-set removal that dirties the GPU.
+                    entry = running.pop(payload)
+                    task = entry.task
+                    gpu = task.gpu
+                    key = (gpu, task.stream)
+                    order = streams[key]
+                    pos = stream_pos[key]
+                    head = order[pos] if pos < len(order) else None
+                    if head != payload:
+                        raise SimulationError(
+                            f"stream {key}: completing task "
+                            f"{payload} but head is {head}"
+                        )
+                    stream_pos[key] = pos + 1
+                    done.add(payload)
+                    # TaskRecord's end-before-start check, then
+                    # tuple.__new__ past its python __new__.
+                    started = entry.started_at
+                    end = self.time
+                    if end < started:
+                        raise SimulationError(
+                            f"task {task.label}: end before start"
+                        )
+                    records.append(
+                        tuple.__new__(
+                            TaskRecord,
+                            (
+                                payload, gpu, task.stream, task.label,
+                                _CAT_COMPUTE, task.phase, started, end,
+                                entry.isolated_s,
+                            ),
+                        )
+                    )
+                    running_on[gpu].pop(payload, None)
+                    dirty_gpus.add(gpu)
+                    launch_candidates.update(wake_streams[payload])
+                elif kind is _COLLECTIVE_FINISH:
+                    finish_collective(payload)
+                elif kind is _GOVERNOR_TICK:
+                    # _governor_tick + _on_clock_changed, inlined.
+                    tick_pending[payload] = False
+                    ticks_outstanding -= 1
+                    governor = governors.get(payload)
+                    if governor is not None:
+                        power = power_now.get(payload)
+                        if power is None:
+                            power = idle_power()
+                        new_clock = governor.observe(power)
+                        if perturbed:
+                            cap = perturb_cap[payload]
+                            if new_clock > cap:
+                                new_clock = cap
+                                governor.clock_frac = cap
+                        if new_clock != clock_of[payload]:
+                            clock_of[payload] = new_clock
+                            dirty_gpus.add(payload)
+                            dirty_insts.update(active_on[payload])
+                        if new_clock < self._min_clock_seen:
+                            self._min_clock_seen = new_clock
+                elif kind is _PERTURB_BEGIN:
+                    apply_perturb(payload, True)
+                elif kind is _PERTURB_END:
+                    apply_perturb(payload, False)
+                if len(done) >= total:
+                    break
+                # _try_launch + _launch_compute + _on_compute_launched,
+                # inlined.
+                while launch_candidates:
+                    if len(launch_candidates) == 1:
+                        batch = list(launch_candidates)
+                    else:
+                        batch = sorted(
+                            launch_candidates, key=stream_order_key
+                        )
+                    launch_candidates.clear()
+                    for key in batch:
+                        order = streams[key]
+                        pos = stream_pos[key]
+                        if pos >= len(order):
+                            continue
+                        tid = order[pos]
+                        if (
+                            tid in running
+                            or tid in waiting
+                            or tid in comm_started
+                        ):
+                            continue
+                        task = tasks[tid]
+                        if not task.deps <= done:
+                            continue
+                        # Compute-table membership is exactly the
+                        # ComputeTask ids (see FastSimulator._event_loop).
+                        row = compute_table.get(tid)
+                        if row is not None:
+                            (
+                                work, iso, peak_eff, ai, ramp,
+                                is_vector, free_util0,
+                            ) = row
+                            entry = _RunningCompute(
+                                task, work, 1.0, iso, self.time,
+                                peak_eff, ai, ramp, is_vector,
+                                free_util0, tid,
+                            )
+                            running[tid] = entry
+                            entry.bank_idx = len(dts)
+                            running_on[task.gpu][tid] = entry
+                            dirty_gpus.add(task.gpu)
+                        elif isinstance(task, CommTask):
+                            post_comm(task)
+                        else:  # pragma: no cover - defensive
+                            raise PlanError(
+                                f"unknown task type for {task.label}"
+                            )
+                # _recompute, inlined.
+                if dirty_insts:
+                    recompute_insts()
+                if dirty_gpus:
+                    if len(dirty_gpus) == 1:
+                        fused(dirty_gpus.pop())
+                    else:
+                        for gpu_index in sorted(dirty_gpus):
+                            fused(gpu_index)
+                        dirty_gpus.clear()
+                # _ensure_ticks + _has_activity, inlined.
+                if ticks_outstanding < num_governors and (
+                    running or self._active_inst_count > 0
+                ):
+                    next_t = self.time + period
+                    for gpu_index, pending in tick_pending.items():
+                        if pending:
+                            continue
+                        tick_pending[gpu_index] = True
+                        ticks_outstanding += 1
+                        schedule(next_t, _GOVERNOR_TICK, gpu_index)
+        finally:
+            stats.events += events
+            self._ticks_outstanding = ticks_outstanding
 
     # ------------------------------------------------------------------
     # lazy banking
     # ------------------------------------------------------------------
-
-    def _advance_to(self, t: float) -> None:
-        if t < self.time - 1e-12:
-            raise SimulationError("event time went backwards")
-        t = max(t, self.time)
-        if t > self.time:
-            self._dts.append(t - self.time)
-        self.time = t
-
-    def _bank_entry(self, entry: _RunningCompute) -> None:
-        dts = self._dts
-        n = len(dts)
-        i = entry.bank_idx
-        if i < n:
-            w = entry.work_remaining
-            r = entry.rate
-            # Same per-step arithmetic as the eager path; the branch is
-            # max(0.0, .) without the builtin call.
-            while i < n:
-                w -= r * dts[i]
-                if w < 0.0:
-                    w = 0.0
-                i += 1
-            entry.work_remaining = w
-            entry.bank_idx = n
 
     def _bank_instance(self, inst: CollectiveInstance) -> None:
         dts = self._dts
@@ -1167,11 +1367,12 @@ class IncrementalSimulator(Simulator):
         if i < n:
             w = inst.work_remaining
             r = inst.rate
-            while i < n:
-                w -= r * dts[i]
+            # Same per-step arithmetic as the eager path; the branch is
+            # max(0.0, .) without the builtin call.
+            for dt in dts[i:]:
+                w -= r * dt
                 if w < 0.0:
                     w = 0.0
-                i += 1
             inst.work_remaining = w
             inst.bank_idx = n
             inst.last_update_s = self.time
@@ -1184,11 +1385,6 @@ class IncrementalSimulator(Simulator):
         entry.bank_idx = len(self._dts)
         gpu = entry.task.gpu
         self._running_on[gpu][entry.tid] = entry
-        self._dirty_gpus.add(gpu)
-
-    def _on_compute_finished(self, entry: _RunningCompute) -> None:
-        gpu = entry.task.gpu
-        self._running_on[gpu].pop(entry.tid, None)
         self._dirty_gpus.add(gpu)
 
     def _on_instance_created(self, inst: CollectiveInstance) -> None:
@@ -1289,7 +1485,7 @@ class IncrementalSimulator(Simulator):
 
         if self._dirty_gpus:
             for gpu_index in sorted(self._dirty_gpus):
-                self._recompute_dirty_gpu(gpu_index)
+                self._recompute_gpu_fused(gpu_index)
             self._dirty_gpus.clear()
 
     def _recompute_insts(self) -> None:
@@ -1323,15 +1519,328 @@ class IncrementalSimulator(Simulator):
     def _on_instance_rate_changed(self, inst: CollectiveInstance) -> None:
         """Hook for subclasses tracking rate-derived aggregates."""
 
-    def _recompute_dirty_gpu(self, gpu_index: int) -> None:
-        active = self._active_on[gpu_index]
-        spinning = self._spinning_on[gpu_index]
-        self._recompute_gpu(
-            gpu_index,
-            list(self._running_on[gpu_index].values()),
-            [active[s] for s in sorted(active)],
-            [spinning[s] for s in sorted(spinning)],
-        )
+    # ------------------------------------------------------------------
+    # fused recompute
+    # ------------------------------------------------------------------
+
+    def _missing_power_path(
+        self, entries: Dict[int, _RunningCompute], comm_resident: bool
+    ) -> Optional[Datapath]:
+        """The datapath :meth:`PowerEvaluator.evaluate_parts` would
+        reject for this GPU, in its ``sm_items`` order, or None.
+
+        Only consulted when the GPU spec lacks a power coefficient the
+        plan could need; the reference raises exactly when a term for
+        such a path reaches the power formula.
+        """
+        missing = self.prepared.missing_paths
+        seen: List[Datapath] = []
+        for entry in entries.values():
+            path = entry.task.kernel.path.datapath
+            if path not in seen:
+                seen.append(path)
+        if comm_resident and Datapath.VECTOR not in seen:
+            seen.append(Datapath.VECTOR)
+        for path in seen:
+            if path in missing:
+                return path
+        return None
+
+    def _make_exact_recompute(self):
+        """Build the exact rate + power evaluation for one dirty GPU.
+
+        One call replaces the reference chain :meth:`_recompute_gpu` ->
+        :meth:`_availability` -> :meth:`_update_entry_rates` ->
+        :meth:`_compute_power_terms` -> :meth:`_update_power` ->
+        :meth:`PowerEvaluator.evaluate_parts` ->
+        :meth:`_maybe_roll_segment`, with the same arithmetic in the
+        same order:
+
+        * the contention sums run over ``_active_on`` /
+          ``_spinning_on`` in ``seq`` order through ``sum()`` (one term
+          needs no call: ``sum([x]) == x``);
+        * each running kernel's rate and its power terms come from one
+          pass in launch order (the rate never reads a power term);
+          a changed rate banks by replaying the ``_dts`` log and pushes
+          a finish event;
+        * the power formula is evaluated directly, sharing the
+          evaluator's clock-pow memo. ``sm_items`` holds at most a
+          vector and a tensor term, and two-term float addition is
+          order-exact, so accumulating per datapath matches the
+          reference's dict-order sum;
+        * the free-running utilisation is the closed form of
+          :meth:`RateModel.free_utilization_from_params`, inlined.
+
+        Returned as a closure over the identity-stable state (dicts,
+        lists, model constants), like :meth:`FastSimulator
+        ._make_fused_recompute`; only the rebound ``self.time`` reads
+        through ``self``. The closure therefore holds the simulator,
+        which is why :meth:`_release_run_state` drops it.
+        """
+        config = self.config
+        prep = self.prepared
+        stats = self.stats
+        clock_of = self._clock
+        running_on = self._running_on
+        active_on = self._active_on
+        spinning_on = self._spinning_on
+        dts = self._dts
+        schedule = self.queue.schedule
+        contention = config.contention_enabled
+        max_clock0 = config.max_clock_frac
+        hbm_eff = self._hbm_eff
+        hbm_floor = _MIN_HBM_FRACTION * hbm_eff
+        one_minus_interf = 1.0 - self._interference
+        spin_scale = self._spin_scale
+        stall_frac = self._stall_frac
+        hbm_bw = self._hbm_bw
+        vec_max = prep.vec_max
+        ten_max = prep.ten_max
+        idle_frac = prep.idle_frac
+        hbm_max = prep.hbm_max
+        link_max = prep.link_max
+        tdp = prep.tdp
+        check_paths = bool(prep.missing_paths)
+        missing_power_path = self._missing_power_path
+        clock_pow = self._power_eval._clock_pow
+        clock_term = self._power_eval.clock_term
+        power_now = self._power_now
+        segment_open = self._segment_open
+        segments = self._segments
+        perturbed = self._perturbed
+        perturb_rate = self._perturb_rate
+        perturb_hbm = self._perturb_hbm
+        perturb_cap = self._perturb_cap
+
+        def fused(gpu_index: int) -> None:
+            stats.gpu_rate_passes += 1
+            clock = clock_of[gpu_index]
+            active = active_on[gpu_index]
+            spinning = spinning_on[gpu_index]
+            # Resident collectives in creation (seq) order, with the
+            # HBM draw of each (CollectiveInstance.hbm_demand_now,
+            # inlined: every resident instance is active).
+            if not active:
+                insts = ()
+                comm_sm = comm_hbm = 0.0
+            else:
+                if len(active) == 1:
+                    insts = tuple(active.values())
+                else:
+                    insts = [active[s] for s in sorted(active)]
+                hbm_draw = []
+                for inst in insts:
+                    cost = inst.cost
+                    duration = cost.duration_s
+                    if duration <= 0:
+                        hbm_draw.append(0.0)
+                    else:
+                        hbm_draw.append(
+                            cost.hbm_bytes_per_s * (inst.rate * duration)
+                        )
+                if len(insts) == 1:
+                    comm_sm = insts[0].cost.sm_fraction
+                    comm_hbm = hbm_draw[0]
+                else:
+                    comm_sm = sum([inst.cost.sm_fraction for inst in insts])
+                    comm_hbm = sum(hbm_draw)
+            if not spinning:
+                spins = ()
+                spin_sm = 0.0
+            elif len(spinning) == 1:
+                spins = tuple(spinning.values())
+                spin_sm = spins[0].cost.sm_fraction
+            else:
+                spins = [spinning[s] for s in sorted(spinning)]
+                spin_sm = sum([inst.cost.sm_fraction for inst in spins])
+            # _availability, branch-inlined (min/max as compares).
+            if not contention:
+                sm_avail = 1.0
+                hbm_avail = hbm_eff
+                eff_clock = max_clock0
+            else:
+                total_sm = comm_sm + spin_scale * spin_sm
+                if total_sm > _MAX_COMM_SM:
+                    total_sm = _MAX_COMM_SM
+                sm_avail = 1.0 - total_sm
+                if sm_avail < _MIN_SM_FRACTION:
+                    sm_avail = _MIN_SM_FRACTION
+                hbm_avail = hbm_eff - comm_hbm
+                if hbm_avail < hbm_floor:
+                    hbm_avail = hbm_floor
+                if insts:
+                    hbm_avail *= one_minus_interf
+                eff_clock = clock
+            if perturbed:
+                rate_mul = perturb_rate[gpu_index]
+                hbm_mul = perturb_hbm[gpu_index]
+                if hbm_mul != 1.0:
+                    hbm_avail *= hbm_mul
+                cap = perturb_cap[gpu_index]
+                if eff_clock > cap:
+                    # Only reachable in ideal mode, which bypasses the
+                    # (already capped) per-GPU clock.
+                    eff_clock = cap
+            else:
+                rate_mul = 1.0
+            running = running_on[gpu_index]
+            uv = 0.0
+            ut = 0.0
+            hbm_used = 0.0
+            n = len(running)
+            if n:
+                share_sm = sm_avail / n
+                share_hbm = hbm_avail / n
+                now = self.time
+                n_dts = len(dts)
+                at_cap = clock == max_clock0
+                for entry in running.values():
+                    peak_eff = entry.peak_eff
+                    ai = entry.ai
+                    # RateModel.rate_from_params, branch-inlined.
+                    rate = peak_eff * share_sm * eff_clock
+                    if ai != _INF:
+                        bandwidth = ai * share_hbm
+                        if bandwidth < rate:
+                            rate = bandwidth
+                    if rate <= 0.0:
+                        rate = peak_eff * 1e-4
+                        if rate < 1.0:
+                            rate = 1.0
+                    if rate_mul != 1.0:
+                        rate *= rate_mul
+                    if rate != entry.rate or not entry.scheduled:
+                        # Bank by replaying the missed time steps.
+                        i = entry.bank_idx
+                        if i < n_dts:
+                            w = entry.work_remaining
+                            r = entry.rate
+                            for dt in dts[i:]:
+                                w -= r * dt
+                                if w < 0.0:
+                                    w = 0.0
+                            entry.work_remaining = w
+                            entry.bank_idx = n_dts
+                        entry.rate = rate
+                        entry.scheduled = True
+                        schedule(
+                            now + entry.work_remaining / rate,
+                            _TASK_FINISH,
+                            entry.tid,
+                        )
+                    # sm_utilization_from_params with sm_fraction=1.0,
+                    # then the free-running utilisation in closed form
+                    # (its compute ceiling is this same ``peak``).
+                    peak = peak_eff * clock
+                    if peak <= 0.0:
+                        util = 0.0
+                        free_util = 0.0
+                    else:
+                        util = rate / peak
+                        if util > 1.0:
+                            util = 1.0
+                        if at_cap:
+                            free_util = entry.free_util0
+                        else:
+                            free_rate = peak
+                            if ai != _INF:
+                                bandwidth = ai * hbm_eff
+                                if bandwidth < free_rate:
+                                    free_rate = bandwidth
+                            if free_rate <= 0.0:
+                                free_rate = peak_eff * 1e-4
+                                if free_rate < 1.0:
+                                    free_rate = 1.0
+                            free_util = free_rate / peak
+                            if free_util > 1.0:
+                                free_util = 1.0
+                    if free_util > util:
+                        util += stall_frac * (free_util - util)
+                    util *= entry.ramp
+                    if entry.is_vector:
+                        uv += util
+                    else:
+                        ut += util
+                    if ai != _INF and ai > 0.0:
+                        hbm_used += rate / ai
+            # Collective power terms, in seq order
+            # (CollectiveInstance.link_fraction_now, inlined).
+            link_frac = 0.0
+            if insts:
+                for inst, draw in zip(insts, hbm_draw):
+                    cost = inst.cost
+                    hbm_used += draw
+                    link = cost.link_fraction * (inst.rate * cost.duration_s)
+                    link_frac += link if link < 1.0 else 1.0
+                    uv += _COMM_VECTOR_UTIL * cost.sm_fraction
+            for inst in spins:
+                uv += _SPIN_VECTOR_UTIL * inst.cost.sm_fraction
+            if check_paths:
+                path = missing_power_path(running, bool(insts or spins))
+                if path is not None:
+                    raise ConfigurationError(
+                        f"no SM power coefficient for {path}"
+                    )
+            # PowerEvaluator.evaluate_parts, branch-inlined: clamps,
+            # vector-then-tensor SM terms, the shared clock-pow memo.
+            if uv < 0.0:
+                uv = 0.0
+            elif uv > 1.0:
+                uv = 1.0
+            dynamic_sm = vec_max * uv
+            if ut != 0.0:
+                if ut < 0.0:
+                    ut = 0.0
+                elif ut > 1.0:
+                    ut = 1.0
+                dynamic_sm += ten_max * ut
+            hbm_frac = hbm_used / hbm_bw
+            if hbm_frac < 0.0:
+                hbm_frac = 0.0
+            elif hbm_frac > 1.0:
+                hbm_frac = 1.0
+            if link_frac < 0.0:
+                link_frac = 0.0
+            elif link_frac > 1.0:
+                link_frac = 1.0
+            ct = clock_pow.get(clock)
+            if ct is None:
+                ct = clock_term(clock)
+            power = tdp * (
+                idle_frac
+                + dynamic_sm * ct
+                + hbm_max * hbm_frac
+                + link_max * link_frac
+            )
+            power_now[gpu_index] = power
+            # _maybe_roll_segment, inlined.
+            current = segment_open.get(gpu_index)
+            if current is not None:
+                compute_active = n > 0
+                comm_active = bool(insts)
+                start_s, cur_power, cur_compute, cur_comm, cur_clock = current
+                if not (
+                    cur_compute == compute_active
+                    and cur_comm == comm_active
+                    and abs(cur_power - power) < 1e-6
+                    and abs(cur_clock - clock) < 1e-9
+                ):
+                    now = self.time
+                    if now > start_s:
+                        segments[gpu_index].append(
+                            tuple.__new__(
+                                PowerSegment,
+                                (
+                                    gpu_index, start_s, now, cur_power,
+                                    cur_compute, cur_comm, cur_clock,
+                                ),
+                            )
+                        )
+                    segment_open[gpu_index] = (
+                        now, power, compute_active, comm_active, clock,
+                    )
+
+        return fused
 
 
 class FastSimulator(IncrementalSimulator):
@@ -1461,7 +1970,9 @@ class FastSimulator(IncrementalSimulator):
         self._link_max = prep.link_max
         self._tdp = prep.tdp
         # Closure over the now-complete hot state (see the factory's
-        # docstring); every piece it binds is initialized above.
+        # docstring); every piece it binds is initialized above. It
+        # replaces the exact tier's closure, which was built over the
+        # dict state the store now shadows.
         self._recompute_gpu_fused = self._make_fused_recompute()
 
     # ------------------------------------------------------------------
@@ -1575,8 +2086,10 @@ class FastSimulator(IncrementalSimulator):
         :meth:`_try_launch` (plus :meth:`_launch_compute`) and
         :meth:`_recompute`, which remain the canonical copies
         (:meth:`run`'s priming pass still dispatches through the last
-        two). Python frames are the dominant cost at this call rate;
-        keep the copies in sync when touching either.
+        two). The exact tier's :meth:`IncrementalSimulator._run_loop`
+        holds a second inlined copy of the finish and launch bodies.
+        Python frames are the dominant cost at this call rate; keep
+        all the copies in sync when touching any.
         """
         config = self.config
         max_time = config.max_sim_time_s
@@ -1903,9 +2416,10 @@ class FastSimulator(IncrementalSimulator):
         One pass over the GPU's running kernels derives each rate
         (push-on-change, O(1) banking) *and* accumulates the SM/HBM
         power terms, then evaluates the power formula directly — the
-        same arithmetic as the exact tiers' two-pass
-        :meth:`_update_entry_rates` + :meth:`_update_power` with the
-        communication terms read from the aggregates (power-term
+        same arithmetic as the reference's two-pass
+        :meth:`_update_entry_rates` + :meth:`_update_power` (and the
+        exact tier's :meth:`IncrementalSimulator._make_exact_recompute`)
+        with the communication terms read from the aggregates (power-term
         summation runs vector-then-tensor, which is bitwise-commutative
         with any two-term order), touching each entry once per cohort
         instead of once per event.
@@ -1935,7 +2449,6 @@ class FastSimulator(IncrementalSimulator):
         running_on = self._running_on
         schedule = self.queue.schedule
         stall_frac = self._stall_frac
-        free_utilization = self._rates.free_utilization
         spinning_on = self._spinning_on
         vec_max = self._vec_max
         ten_max = self._ten_max
@@ -2042,24 +2555,32 @@ class FastSimulator(IncrementalSimulator):
                             _TASK_FINISH,
                             entry.tid,
                         )
-                    # sm_utilization_from_params with sm_fraction=1.0.
+                    # sm_utilization_from_params with sm_fraction=1.0,
+                    # then the free-running utilisation in closed form
+                    # (the exact tier's fused recompute has the twin).
                     peak = peak_eff * clock
                     if peak <= 0.0:
                         util = 0.0
+                        free_util = 0.0
                     else:
                         util = rate / peak
                         if util > 1.0:
                             util = 1.0
-                    if at_cap:
-                        free_util = entry.free_util0
-                    else:
-                        cache = entry.free_util_cache
-                        free_util = cache.get(clock)
-                        if free_util is None:
-                            free_util = free_utilization(
-                                entry.task.kernel, clock
-                            )
-                            cache[clock] = free_util
+                        if at_cap:
+                            free_util = entry.free_util0
+                        else:
+                            free_rate = peak
+                            if ai != _INF:
+                                bandwidth = ai * hbm_eff
+                                if bandwidth < free_rate:
+                                    free_rate = bandwidth
+                            if free_rate <= 0.0:
+                                free_rate = peak_eff * 1e-4
+                                if free_rate < 1.0:
+                                    free_rate = 1.0
+                            free_util = free_rate / peak
+                            if free_util > 1.0:
+                                free_util = 1.0
                     if free_util > util:
                         util += stall_frac * (free_util - util)
                     util *= entry.ramp
@@ -2225,7 +2746,8 @@ class FastSimulator(IncrementalSimulator):
         cum = self._cum_dt
         schedule = self.queue.schedule
         stall_frac = self._stall_frac
-        free_utilization = self._rates.free_utilization
+        free_utilization = RateModel.free_utilization_from_params
+        hbm_eff = self._hbm_eff
         max_clock0 = self._max_clock0
         for i, (gpu_index, entry) in enumerate(flat):
             rate = rates[i]
@@ -2247,11 +2769,9 @@ class FastSimulator(IncrementalSimulator):
             if clock == max_clock0:
                 free_util = entry.free_util0
             else:
-                cache = entry.free_util_cache
-                free_util = cache.get(clock)
-                if free_util is None:
-                    free_util = free_utilization(entry.task.kernel, clock)
-                    cache[clock] = free_util
+                free_util = free_utilization(
+                    entry.peak_eff, entry.ai, hbm_eff, clock
+                )
             if free_util > util:
                 util += stall_frac * (free_util - util)
             util *= entry.ramp

@@ -192,13 +192,31 @@ class EventQueue:
 
     def pop_live(self) -> Optional[Event]:
         """Earliest non-tombstoned event, or None when none remain."""
+        # _note_removed and _maybe_compact are inlined below: the exact
+        # engine calls this once per event. The bookkeeping must stay
+        # line-for-line equivalent to them (and to pop_live_cohort).
+        cells = self._cells
         heap = self._heap
+        heappop = heapq.heappop
         while heap:
-            event = heapq.heappop(heap)[2]
-            if self._note_removed(event):
+            event = heappop(heap)[2]
+            key = (event[1], event[2])
+            cell = cells[key]
+            if event[3] != cell[0]:
+                self._tombstones -= 1
+                stale = True
+            else:
+                cell[2] = False
+                stale = False
+            cell[1] -= 1
+            if cell[1] <= 0 and not cell[2]:
+                del cells[key]
+            if stale:
                 self.stale_dropped += 1
                 continue
-            self._maybe_compact()
+            size = len(heap)
+            if size >= _COMPACT_MIN_SIZE and self._tombstones > size // 2:
+                self.compact()
             return event
         return None
 

@@ -169,6 +169,36 @@ class RateModel:
         return min(util, sm_fraction if sm_fraction > 0 else 1.0, 1.0)
 
     @staticmethod
+    def free_utilization_from_params(
+        peak_eff: float,
+        ai: float,
+        hbm_bytes_per_s: float,
+        clock_frac: float,
+    ) -> float:
+        """:meth:`free_utilization` from pre-resolved kernel parameters.
+
+        ``hbm_bytes_per_s`` is the GPU's effective bandwidth. The
+        closed form of :meth:`compute_rate` (whole GPU, the given
+        clock) followed by :meth:`sm_utilization` with its ``peak``
+        shared, in the same association order, so the result is
+        bit-for-bit equal to the memoized method (a property test pins
+        this). The engine's fused loops inline this arithmetic rather
+        than probing a (kernel, clock) memo that DVFS keeps missing.
+        """
+        peak = peak_eff * clock_frac
+        if peak <= 0:
+            return 0.0
+        rate = peak
+        if ai != float("inf"):
+            bandwidth = ai * hbm_bytes_per_s
+            if bandwidth < rate:
+                rate = bandwidth
+        if rate <= 0:
+            rate = max(peak_eff * 1e-4, 1.0)
+        util = rate / peak
+        return 1.0 if util > 1.0 else util
+
+    @staticmethod
     def rate_from_params_many(
         peak_effs,
         ais,

@@ -103,6 +103,35 @@ def test_t_series_dispatch_details():
     assert "wattage" in t305[0].message
 
 
+def test_t301_covers_the_exact_tiers_flattened_loop(tmp_path):
+    """The exact tier's inlined event dispatch is a checked chain.
+
+    The real engine is clean; dropping one branch from the flattened
+    loop must surface as a T301 finding naming that loop.
+    """
+    import repro
+
+    src = Path(repro.__file__).parent / "sim"
+    sim = tmp_path / "sim"
+    sim.mkdir()
+    (sim / "events.py").write_text((src / "events.py").read_text())
+    engine = (src / "engine.py").read_text()
+    (sim / "engine.py").write_text(engine)
+    assert not run_checks(tmp_path, select="T").findings
+    branch = (
+        "                elif kind is _PERTURB_END:\n"
+        "                    apply_perturb(payload, False)\n"
+    )
+    assert engine.count(branch) == 1
+    (sim / "engine.py").write_text(engine.replace(branch, ""))
+    t301 = [
+        f for f in run_checks(tmp_path, select="T").findings if f.code == "T301"
+    ]
+    assert len(t301) == 1
+    assert "_run_loop()" in t301[0].message
+    assert "PERTURB_END" in t301[0].message
+
+
 # ---------------------------------------------------------------------
 # L-series
 # ---------------------------------------------------------------------

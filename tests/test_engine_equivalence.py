@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives.primitives import CollectiveKind
-from repro.hw.datapath import FP16_TENSOR
+from repro.hw.datapath import FP16_TENSOR, FP32_VECTOR
 from repro.hw.system import make_node
 from repro.parallel.plan import PlanBuilder
 from repro.sim.config import SimConfig
@@ -170,7 +170,8 @@ def random_plans(draw):
         # A microsecond-scale tick makes the governor fire inside these
         # tiny programs, exercising the clock-dirty propagation path.
         governor_period_s=draw(st.sampled_from([2e-6, 2e-3])),
-        trace_power=True,
+        # The fused recompute rolls power segments only when tracing.
+        trace_power=draw(st.booleans()),
     )
     return NODES[num_gpus], builder.build().tasks, config
 
@@ -278,6 +279,160 @@ def test_incremental_skips_unaffected_gpus():
     assert inc.stats.gpu_rate_passes * 2 < ref.stats.gpu_rate_passes
 
 
+def _spy_residents(sim):
+    """Record (active, spinning) collective counts per fused recompute."""
+    seen = []
+    fused = sim._recompute_gpu_fused
+
+    def spy(gpu_index):
+        seen.append(
+            (len(sim._active_on[gpu_index]), len(sim._spinning_on[gpu_index]))
+        )
+        fused(gpu_index)
+
+    sim._recompute_gpu_fused = spy
+    return seen
+
+
+def test_concurrent_collectives_on_one_gpu_bit_identical():
+    """Three collectives resident on one GPU at once, active and spinning.
+
+    Each collective rides its own comm stream, so all three run
+    together and the contention sums add three terms in ``seq`` order.
+    A second wave's rank 1 waits on a long kernel chain, so rank 0
+    spins on three instances at once while its own kernels run.
+    """
+    num_gpus = 2
+    builder = PlanBuilder("multi-comm")
+    streams = [COMM_STREAM, "comm-b", "comm-c"]
+    for g in range(num_gpus):
+        builder.add_compute(g, KERNELS[1])
+    for stream in streams:
+        builder.add_collective(
+            CollectiveKind.ALL_REDUCE, 16 * MB, [0, 1], stream=stream
+        )
+    # Rank 0 keeps computing while it spins; rank 1 computes longer.
+    slow = {}
+    for g, length in ((0, 8), (1, 16)):
+        for _ in range(length):
+            prev = slow.get(g)
+            slow[g] = builder.add_compute(
+                g, KERNELS[2], deps=[prev] if prev is not None else []
+            )
+    for stream in streams:
+        builder.add_collective(
+            CollectiveKind.ALL_GATHER,
+            16 * MB,
+            [0, 1],
+            deps_by_gpu={1: [slow[1]]},
+            stream=stream,
+        )
+    tasks = builder.build().tasks
+    node = NODES[num_gpus]
+    for config in (
+        SimConfig(jitter_sigma=0.02, seed=5, governor_period_s=5e-6),
+        SimConfig(power_limit_w=150.0, governor_period_s=5e-6),
+    ):
+        _assert_identical(node, tasks, config)
+    sim = IncrementalSimulator(node, tasks, SimConfig(jitter_sigma=0.02))
+    seen = _spy_residents(sim)
+    sim.run()
+    assert max(active for active, _ in seen) == 3
+    assert max(spinning for _, spinning in seen) == 3
+
+
+def test_ideal_mode_thermal_throttle_bit_identical():
+    """Contention off: the thermal ceiling caps the effective clock."""
+    from repro.sim.perturb import PerturbationSpec
+
+    tasks = _overlap_plan(2)
+    node = NODES[2]
+    ideal = SimConfig(contention_enabled=False, jitter_sigma=0.02, seed=2)
+    throttled = dataclasses.replace(
+        ideal,
+        perturbations=(
+            PerturbationSpec(
+                kind="thermal_throttle",
+                target="gpu:1",
+                start_s=0.0,
+                duration_s=0.5,
+                magnitude=0.4,
+            ),
+        ),
+    )
+    healthy = _assert_identical(node, tasks, ideal)
+    capped = _assert_identical(node, tasks, throttled)
+
+    def kernel_time(result, gpu):
+        return sum(
+            r.duration_s
+            for r in result.records
+            if r.gpu == gpu and r.stream != COMM_STREAM
+        )
+
+    # The cap must have slowed the throttled GPU's kernels (and only
+    # its kernels), or the branch was never taken.
+    assert kernel_time(capped, 1) > kernel_time(healthy, 1)
+    assert kernel_time(capped, 0) == kernel_time(healthy, 0)
+    assert capped.min_clock_frac_seen == pytest.approx(0.6)
+
+
+def _node_without(path, num_gpus):
+    """A node whose GPU spec has no SM power coefficient for ``path``."""
+    from repro.hw.power import GpuPowerCoefficients
+
+    node = NODES[num_gpus]
+    kept = {
+        p: frac
+        for p, frac in node.gpu.power.sm_max_frac.items()
+        if p is not path
+    }
+    gpu = dataclasses.replace(
+        node.gpu, power=GpuPowerCoefficients(sm_max_frac=kept)
+    )
+    return dataclasses.replace(node, gpu=gpu)
+
+
+def test_missing_power_coefficient_raises_the_same_error():
+    """The exact tier rejects a missing coefficient like the oracle."""
+    from repro.errors import ConfigurationError
+    from repro.hw.datapath import Datapath
+
+    node = _node_without(Datapath.TENSOR, 2)
+    tasks = _overlap_plan(2)
+    messages = []
+    for engine in ("reference", "exact"):
+        config = SimConfig(engine=engine)
+        with pytest.raises(ConfigurationError) as excinfo:
+            make_simulator(node, tasks, config).run()
+        messages.append(str(excinfo.value))
+    assert messages[0] == messages[1]
+    assert "no SM power coefficient for tensor" in messages[0]
+
+
+def test_unused_missing_power_coefficient_is_accepted_by_exact_tiers():
+    """A coefficient no power term needs is no error for the exact tiers.
+
+    Tensor-only kernels on one GPU never put a vector term into the
+    power formula, so both exact tiers run the plan identically; the
+    fast tier checks every coefficient up front and refuses it.
+    """
+    from repro.errors import ConfigurationError
+    from repro.hw.datapath import Datapath
+
+    node = _node_without(Datapath.VECTOR, 1)
+    builder = PlanBuilder("tensor-only")
+    prev = None
+    for kernel in KERNELS[:3]:
+        prev = builder.add_compute(
+            0, kernel, deps=[prev] if prev is not None else []
+        )
+    tasks = builder.build().tasks
+    _assert_identical(node, tasks, SimConfig(power_limit_w=250.0))
+    with pytest.raises(ConfigurationError, match="vector"):
+        make_simulator(node, tasks, SimConfig(engine="fast"))
+
+
 # ----------------------------------------------------------------------
 # fast tier: tolerance-gated equivalence
 # ----------------------------------------------------------------------
@@ -304,6 +459,8 @@ def _real_plan(strategy, num_gpus, power_limit_w=None):
 @given(random_plans())
 def test_random_task_graphs_fast_tier_within_tolerance(plan):
     node, tasks, config = plan
+    # The energy bound needs the power trace.
+    config = dataclasses.replace(config, trace_power=True)
     # Tiny microsecond-scale programs with aggressive ticks: allow a
     # generous bound (a handful of control periods of drift).
     _assert_close(node, tasks, config, rel_tol=0.10, abs_floor_s=2e-5)
@@ -486,6 +643,42 @@ def test_experiment_tolerances_gate_the_tolerance_suite():
     avg_ref = energy_ref / ref.end_time_s
     avg_fast = energy_fast / fast.end_time_s
     assert abs(avg_ref - avg_fast) <= cfg.tolerance("power") * avg_ref
+
+
+#: Kernels across both datapaths and the roofline's regimes: compute-
+#: bound GEMMs, bandwidth-bound elementwise kernels, and a pure-FLOP
+#: kernel (infinite arithmetic intensity).
+FREE_UTIL_KERNELS = KERNELS + [
+    gemm_kernel("gemm-fp32", 1024, 1024, 1024, FP32_VECTOR),
+    gemm_kernel("gemm-thin", 4096, 8, 64, FP16_TENSOR),
+    elementwise_kernel("ew-fp32", 1e7, FP32_VECTOR),
+    elementwise_kernel("ew-heavy", 1e6, FP16_TENSOR, flops_per_element=400.0),
+    elementwise_kernel("ew-flops", 1e6, FP16_TENSOR, bytes_per_element=0.0),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gpu_name=st.sampled_from(["A100", "H100", "MI210", "MI250"]),
+    kernel=st.sampled_from(FREE_UTIL_KERNELS),
+    clock=st.one_of(
+        st.floats(min_value=0.05, max_value=1.0),
+        st.sampled_from([1.0, 0.3, 0.61, 0.999999, 1e-3]),
+    ),
+)
+def test_free_utilization_closed_form_is_bit_exact(gpu_name, kernel, clock):
+    """The fused loops' closed form is RateModel's memo, bit-for-bit."""
+    from repro.hw.registry import get_gpu
+
+    gpu = get_gpu(gpu_name)
+    if kernel.path not in gpu.peak_flops:
+        return  # e.g. no TF32 on CDNA2; no engine would run it
+    model = RateModel(gpu)
+    peak_eff, ai = model.kernel_params(kernel)
+    closed = RateModel.free_utilization_from_params(
+        peak_eff, ai, gpu.memory.effective_bandwidth, clock
+    )
+    assert closed == model.free_utilization(kernel, clock)
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.name)

@@ -188,3 +188,37 @@ def test_max_sim_time_guard():
         builder.add_compute(0, big)
     with pytest.raises(SimulationError):
         simulate(NODE, builder.build().tasks, SimConfig(max_sim_time_s=1e-4))
+
+
+@pytest.mark.parametrize("engine", ["reference", "exact", "fast"])
+def test_finished_simulator_is_freed_without_the_cycle_collector(engine):
+    """A completed run leaves no reference cycle through the simulator.
+
+    The fused tiers keep a recompute closure over the simulator; if it
+    outlived the run, every finished simulation would wait for the
+    cyclic collector, and a sweep's peak memory would grow with it.
+    """
+    import gc
+    import weakref
+
+    from repro.sim.engine import make_simulator
+
+    builder = PlanBuilder("freed")
+    for g in range(2):
+        builder.add_compute(g, KERNEL)
+    builder.add_collective(
+        CollectiveKind.ALL_REDUCE, 16 * MB, [0, 1], stream=COMM_STREAM
+    )
+    sim = make_simulator(
+        NODE, builder.build().tasks, SimConfig(engine=engine)
+    )
+    sim.run()
+    alive = weakref.ref(sim)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del sim
+        assert alive() is None
+    finally:
+        if was_enabled:
+            gc.enable()
